@@ -25,15 +25,17 @@ those pairs were already produced while both tuples were resident.
 
 Both hash tables store columnar partitions in every drive mode.  Under the
 columnar drive the whole pipeline is positional: input runs arrive as
-struct-of-arrays batches, arriving tuples probe and insert by column
-position, matches are emitted straight into output columns, spills move
-column values, and the final overflow resolution joins spill chunks
-positionally — no :class:`Row` boxing anywhere.  The row-batch and tuple
-drives feed the same tables row by row (the row-spill baseline).
+struct-of-arrays batches and are processed in bulk segments (each probes
+the opposite table once, inserts once, and emits its matches straight into
+output columns), spills move column values, and the final overflow
+resolution joins spill chunks positionally — no :class:`Row` boxing
+anywhere.  The row-batch and tuple drives feed the same tables row by row
+(the row-spill baseline).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Iterator
 
 from repro.engine.context import ExecutionContext
@@ -45,10 +47,10 @@ from repro.plan.rules import EventType
 from repro.storage.batch import Batch
 from repro.storage.columns import (
     DictColumn,
-    append_value,
     as_values,
     empty_like,
     extend_column,
+    gather,
 )
 from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, bucket_of
 from repro.storage.memory import MemoryBudget
@@ -71,57 +73,67 @@ RUN_SLACK_MS = 5.0
 class _Run:
     """One consumed input run: a batch plus its bulk-extracted join keys.
 
-    ``movers`` caches, per column, whether the run's column and the output
-    accumulator share a dictionary (computed once per run at first emission)
-    so the per-tuple emission skips most type checks.  Output columns are
-    reset storage-preserving, but another writer to the same slot can still
-    degrade it mid-run, so the mover branch re-checks the accumulator type
-    and clears its flag on a mismatch.
+    ``arrivals`` is the columnar run's arrival column as a plain sequence
+    (``None`` for row-backed runs), so segments read stamps by C-level
+    subscripts.
     """
 
-    __slots__ = ("batch", "keys", "cursor", "movers")
+    __slots__ = ("batch", "keys", "arrivals", "cursor")
 
     def __init__(self, batch: Batch, keys: list[tuple[Any, ...]]) -> None:
         self.batch = batch
         self.keys = keys
+        self.arrivals = as_values(batch.arrivals) if batch.is_columnar else None
         self.cursor = 0
-        self.movers: list[bool] | None = None
-
-    def __len__(self) -> int:
-        return len(self.batch)
 
 
 class _OutputColumns:
     """Pending columnar join output: per-column accumulators plus arrivals.
 
     Accumulators start as plain lists; on the first emission the operator
-    may *upgrade* slots to dict-encoded accumulators sharing the inputs'
-    dictionaries (``adopt_storage``), after which matched string values move
-    as raw codes and the output batches stay encoded end to end.
+    *upgrades* slots to dict-encoded accumulators sharing the inputs'
+    dictionaries, after which matched string values move as raw codes and
+    the output batches stay encoded end to end.
     """
 
-    __slots__ = ("columns", "arrivals", "cursor", "adopted", "plain")
+    __slots__ = ("columns", "arrivals", "cursor", "adopted")
 
     def __init__(self, width: int) -> None:
         self.columns: list[list[Any]] = [[] for _ in range(width)]
         self.arrivals: list[float] = []
         self.cursor = 0
         self.adopted = False
-        #: True when no input column is dict-encoded — the emission then
-        #: takes the original branch-free per-match loop.
-        self.plain = True
 
     def __len__(self) -> int:
         return len(self.arrivals) - self.cursor
 
-    def adopt_storage(self, sources: list) -> None:
-        """Upgrade empty accumulator slots to the sources' storage classes."""
+    def append_matches(
+        self,
+        own_offset: int,
+        own_columns: list,
+        take: list[int],
+        match_offset: int,
+        match_columns: list,
+        arrivals,
+    ) -> None:
+        """Append join output column by column: output row ``i`` joins row
+        ``take[i]`` of ``own_columns`` with row ``i`` of ``match_columns``."""
+        columns = self.columns
+        base = len(self.arrivals)
+        sides = ((own_offset, own_columns, take), (match_offset, match_columns, None))
+        for offset, sources, rows in sides:
+            for j, source in enumerate(sources, offset):
+                if not self.adopted and type(source) is DictColumn and not len(columns[j]):
+                    columns[j] = DictColumn(source.dictionary)
+                if rows is None:
+                    extend_column(columns, j, source, base)
+                elif type(columns[j]) is list and type(source) is not DictColumn:
+                    # Plain values move in one C-level take, without a typed copy.
+                    columns[j].extend(map(source.__getitem__, rows))
+                else:
+                    extend_column(columns, j, gather(source, rows), base)
         self.adopted = True
-        for j, source in enumerate(sources):
-            if type(source) is DictColumn:
-                self.plain = False
-                if not len(self.columns[j]):
-                    self.columns[j] = DictColumn(source.dictionary)
+        self.arrivals.extend(arrivals)
 
     def _reset_columns(self) -> None:
         self.columns = [empty_like(column) for column in self.columns]
@@ -441,159 +453,97 @@ class DoublePipelinedJoin(JoinOperator):
                 return
             self._resolve_overflow()
 
-    def _process_position(self, side: int, run: _Run, position: int) -> None:
-        """Probe, emit, and insert one arriving tuple by run position.
+    def _process_segment(self, side: int, run: _Run, room: int) -> None:
+        """Probe, emit, and insert one *segment* of a columnar run in bulk.
 
-        The positional twin of :meth:`_process` for columnar runs: the
-        arriving tuple is never boxed — its values move from the run's
-        columns into hash-table partitions, output columns, or spill files.
+        A segment is a prefix of the run's unprocessed rows that a per-tuple
+        pipeline would process back to back without the clock moving.  It
+        ends before a row the other input's next arrival would preempt,
+        before a row whose bucket has spilled, after ``room`` rows or the
+        row whose output fills ``room`` (one row when ``room <= 0``), and
+        after a row the budget refuses.  Rows of one side never probe each
+        other, so a segment probes the opposite table once, inserts once,
+        and appends its output column by column — no arriving tuple is
+        boxed.
         """
         other = 1 - side
-        key = run.keys[position]
-        index = bucket_of(key, self.bucket_count)
         tables = self._tables
+        table = tables[side]
         batch = run.batch
         columns = batch.columns
-        arrival = batch.arrivals[position]
-        if tables[LEFT].buckets[index].flushed or tables[RIGHT].buckets[index].flushed:
-            tables[side].spill_position(index, columns, position, arrival, marked=True)
-            self._charge_disk_time()
+        keys = run.keys
+        arrivals = run.arrivals
+        start = run.cursor
+        # Probe at most ``room`` rows: with one match each they fill the batch.
+        stop = start + 1 if room <= 0 else min(len(batch), start + room)
+        if not (self._exhausted[other] or (side == RIGHT and self._drain_right_first)):
+            # The other input's next row preempts any later row of this run
+            # that does not arrive strictly before it (ties re-run the
+            # tie-break, which counts this segment's inserts; an input that
+            # ran dry meanwhile is marked exhausted by the next choice).
+            other_arrival = self._peek_side(other)
+            for i in range(start + 1, stop):
+                if other_arrival is None or arrivals[i] >= other_arrival:
+                    stop = i
+                    break
+        if tables[LEFT].flushed_count or tables[RIGHT].flushed_count:
+            for i in range(start, stop):
+                index = hash(keys[i]) % self.bucket_count
+                if tables[LEFT].buckets[index].flushed or tables[RIGHT].buckets[index].flushed:
+                    if i > start:
+                        stop = i
+                        break
+                    # The bucket spilled before this tuple arrived: it goes
+                    # straight to disk, marked (it probed nothing).
+                    table.spill_position(index, columns, i, arrivals[i], marked=True)
+                    self._charge_disk_time()
+                    run.cursor = i + 1
+                    return
+        matches = tables[other].gather_matches(keys, range(start, stop))
+        if matches is not None and 0 < room <= len(matches[0]):
+            stop = matches[0][room - 1] + 1
+        refused = None
+        if not self._exhausted[other]:
+            # Once the opposite input is exhausted there is no need to
+            # retain arriving tuples (footnote 3 of the paper).
+            inserted = table.insert_batch(batch, keys=keys, start=start, stop=stop)
+            if inserted < stop:
+                refused, stop = inserted, inserted + 1
+        run.cursor = stop
+        if matches is not None:
+            take, match_columns, match_arrivals, _ = matches
+            cut = bisect_left(take, stop)
+            if cut:
+                if cut < len(take):
+                    take = take[:cut]
+                    match_columns = [column[:cut] for column in match_columns]
+                    match_arrivals = match_arrivals[:cut]
+                self._emitted_output = True
+                own_offset = 0 if side == LEFT else self._left_width
+                self._out.append_matches(
+                    own_offset,
+                    columns,
+                    take,
+                    self._left_width - own_offset,
+                    match_columns,
+                    map(max, map(arrivals.__getitem__, take), match_arrivals),
+                )
+        if refused is None:
             return
-        other_bucket = tables[other].buckets[index]
-        partition = other_bucket.partition
-        matches = partition.positions.get(key) if partition is not None else None
-        if matches:
-            self._emitted_output = True
-            out = self._out
-            match_columns = partition.columns
-            match_arrivals = partition.arrivals
-            own_offset = 0 if side == LEFT else self._left_width
-            match_offset = self._left_width if side == LEFT else 0
-            if not out.adopted:
-                # First emission fixes the output storage: dict-encoded
-                # inputs get dict-encoded accumulators sharing their
-                # dictionaries, so string values below move as raw codes.
-                sources = [None] * (self._left_width + self._right_width)
-                for j, column in enumerate(columns):
-                    sources[own_offset + j] = column
-                for j, column in enumerate(match_columns):
-                    sources[match_offset + j] = column
-                out.adopt_storage(sources)
-            out_columns = out.columns
-            out_arrivals = out.arrivals
-            if out.plain:
-                # No dict-encoded input anywhere: the original branch-free
-                # per-match emission (the plain-columnar hot path).
-                own_width = len(columns)
-                for match_position in matches:
-                    for j in range(own_width):
-                        out_columns[own_offset + j].append(columns[j][position])
-                    for j, match_column in enumerate(match_columns):
-                        out_columns[match_offset + j].append(
-                            match_column[match_position]
-                        )
-                    match_arrival = match_arrivals[match_position]
-                    out_arrivals.append(
-                        arrival if arrival >= match_arrival else match_arrival
-                    )
-            else:
-                n_matches = len(matches)
-                # Column-major emission: the arriving tuple's values are
-                # read once (not once per match); dict-encoded columns move
-                # codes into code accumulators, or decode via two C-level
-                # subscripts — never a Python call per value.
-                movers = run.movers
-                if movers is None:
-                    movers = run.movers = [
-                        type(acc) is DictColumn
-                        and type(column) is DictColumn
-                        and acc.dictionary is column.dictionary
-                        for acc, column in zip(out_columns[own_offset:], columns)
-                    ]
-                for j, column in enumerate(columns):
-                    if movers[j]:
-                        acc = out_columns[own_offset + j]
-                        # Re-check the accumulator: another writer to this
-                        # slot (the opposite side's match emission, a
-                        # cleanup extend) may have degraded it to a plain
-                        # list since the flags were computed.
-                        if type(acc) is DictColumn:
-                            acc_codes = acc.codes
-                            code = column.codes[position]
-                            if n_matches == 1:
-                                acc_codes.append(code)
-                            else:
-                                acc_codes.extend([code] * n_matches)
-                            continue
-                        movers[j] = False
-                    value = column[position]
-                    acc = out_columns[own_offset + j]
-                    if type(acc) is list:
-                        if n_matches == 1:
-                            acc.append(value)
-                        else:
-                            acc.extend([value] * n_matches)
-                    elif n_matches == 1:
-                        append_value(out_columns, own_offset + j, value)
-                    else:
-                        extend_column(
-                            out_columns,
-                            own_offset + j,
-                            [value] * n_matches,
-                            len(out_arrivals),
-                        )
-                for j, match_column in enumerate(match_columns):
-                    acc = out_columns[match_offset + j]
-                    if type(match_column) is DictColumn:
-                        if (
-                            type(acc) is DictColumn
-                            and acc.dictionary is match_column.dictionary
-                        ):
-                            acc_codes = acc.codes
-                            mcodes = match_column.codes
-                            for p in matches:
-                                acc_codes.append(mcodes[p])
-                            continue
-                        dvalues = match_column.dictionary.values
-                        dcodes = match_column.codes
-                        if type(acc) is list:
-                            for p in matches:
-                                acc.append(dvalues[dcodes[p]])
-                        else:
-                            extend_column(
-                                out_columns,
-                                match_offset + j,
-                                [dvalues[dcodes[p]] for p in matches],
-                                len(out_arrivals),
-                            )
-                    elif type(acc) is list:
-                        for p in matches:
-                            acc.append(match_column[p])
-                    else:
-                        extend_column(
-                            out_columns,
-                            match_offset + j,
-                            [match_column[p] for p in matches],
-                            len(out_arrivals),
-                        )
-                for p in matches:
-                    match_arrival = match_arrivals[p]
-                    out_arrivals.append(
-                        arrival if arrival >= match_arrival else match_arrival
-                    )
-        if self._exhausted[other]:
-            return
-        table = tables[side]
+        # The refused tuple already probed; resolve the overflow and retry.
+        key = keys[refused]
+        index = bucket_of(key, self.bucket_count)
+        arrival = arrivals[refused]
         while True:
+            self._resolve_overflow()
             if table.buckets[index].flushed:
                 # Spilled by the overflow strategy mid-insert: unmarked, as in
                 # :meth:`_insert_with_overflow`.
-                table.spill_position(index, columns, position, arrival, marked=False)
+                table.spill_position(index, columns, refused, arrival, marked=False)
                 self._charge_disk_time()
                 return
-            if table.insert_position(index, key, columns, position, arrival):
+            if table.insert_position(index, key, columns, refused, arrival):
                 return
-            self._resolve_overflow()
 
     # -- overflow resolution -------------------------------------------------------------------------------
 
@@ -866,7 +816,7 @@ class DoublePipelinedJoin(JoinOperator):
         arrival, and every arriving tuple still probes before the next is
         consumed, but consecutive same-side tuples are pulled in bulk with
         their join keys extracted from the run's key columns.  Columnar runs
-        go through the positional pipeline (:meth:`_process_position`), which
+        are processed a segment at a time (:meth:`_process_segment`), which
         accumulates output directly into column lists; row-backed runs go
         through the row pipeline.  The batch is cut short when a watched
         event (e.g. ``out_of_memory`` with an overflow-method rule attached)
@@ -938,20 +888,28 @@ class DoublePipelinedJoin(JoinOperator):
                             self._drain_right_first = False
                         continue
                     self._process(side, row, None)
-                    if context.batch_interrupt and (count or len(out)):
+                    if context.batch_interrupt and (count or len(out)) and not self._pending:
                         break
                     continue
-            position = run.cursor
-            run.cursor = position + 1
-            if run.batch.is_columnar:
-                self._process_position(side, run, position)
+            if run.arrivals is not None:
+                # The rows a segment may emit before this loop would stop:
+                # a watched event stops it at the first output row, and a
+                # bound the clock passed while pulling the run stops it
+                # after one row.
+                if arrival_bound is not None and clock.now >= arrival_bound:
+                    room = 0
+                else:
+                    room = (1 if context.batch_interrupt else max_rows) - count - len(out)
+                self._process_segment(side, run, room)
             else:
+                position = run.cursor
+                run.cursor = position + 1
                 self._process(side, run.batch[position], run.keys[position])
             # Cut the batch at a watched event — but only once some output is
             # actually collectable; rows sitting on ``_pending`` are moved
             # into the batch by the next loop iteration first (an empty
             # return here would read as a spurious end-of-stream).
-            if context.batch_interrupt and (count or len(out)):
+            if context.batch_interrupt and (count or len(out)) and not self._pending:
                 break
         if len(out) and count < max_rows:
             part = out.take_batch(schema, max_rows - count)

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import accumulate
+from operator import add
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -69,20 +72,46 @@ class NetworkProfile:
 
         The schedule is deterministic given the profile's seed.
         """
-        rng = random.Random(self.seed)
-        arrivals: list[float] = []
+        transfers = list(map(self.transfer_ms, tuple_sizes))
+        return self.accumulate_arrivals(transfers, self.jitters(len(transfers)), start_ms)
+
+    def jitters(self, count: int) -> list[float] | None:
+        """The first ``count`` per-tuple jitter draws (``None`` without jitter).
+
+        Every schedule restarts the seeded generator, so a draw depends on
+        the tuple's position in the stream only.
+        """
+        if self.jitter_ms <= 0:
+            return None
+        uniform = random.Random(self.seed).uniform
+        return [uniform(0.0, self.jitter_ms) for _ in range(count)]
+
+    def accumulate_arrivals(
+        self, transfers: Sequence[float], jitters: Sequence[float] | None, start_ms: float
+    ) -> list[float]:
+        """Arrivals of tuples taking ``transfers`` ms each, streamed from ``start_ms``.
+
+        The clock adds each transfer (and burst gap) in stream order, so the
+        floats equal a per-tuple loop's to the last bit.  ``jitters`` (from
+        :meth:`jitters`) may be longer than ``transfers``.
+        """
         clock = start_ms + self.initial_latency_ms
-        in_burst = 0
-        for size in tuple_sizes:
-            clock += self.transfer_ms(size)
-            if self.burst_size > 0:
+        if self.burst_size > 0:
+            clocks = []
+            in_burst = 0
+            for transfer in transfers:
+                clock += transfer
                 in_burst += 1
                 if in_burst >= self.burst_size:
                     clock += self.burst_gap_ms
                     in_burst = 0
-            jitter = rng.uniform(0.0, self.jitter_ms) if self.jitter_ms > 0 else 0.0
-            arrivals.append(clock + jitter)
-        return arrivals
+                clocks.append(clock)
+        else:
+            clocks = list(accumulate(transfers, initial=clock))
+            del clocks[0]
+        if jitters is None:
+            return clocks
+        return list(map(add, clocks, jitters))
 
 
 def lan(**overrides) -> NetworkProfile:

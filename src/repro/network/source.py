@@ -72,6 +72,8 @@ class DataSource:
         self._encoded_columns: list | None = None
         self._encoded_dictionaries: list | None = None
         self._encoded_for_cardinality = -1
+        #: ``((profile, cardinality), transfers, jitters)`` (see arrival_schedule).
+        self._timetable: tuple | None = None
 
     @property
     def exported_schema(self):
@@ -125,6 +127,25 @@ class DataSource:
     def set_profile(self, profile: NetworkProfile) -> None:
         """Swap the network profile (benchmarks vary link conditions this way)."""
         self.profile = profile
+
+    def arrival_schedule(self, start_ms: float, start_row: int = 0) -> list[float]:
+        """Arrival times of rows ``start_row..`` of the export, streamed from ``start_ms``.
+
+        Equal to ``profile.arrival_schedule`` over the rows' sizes.  The
+        per-row transfer times and jitter draws do not depend on the start
+        time, so they are cached per profile and cardinality, without
+        building a row; each open only accumulates them from its start time.
+        """
+        profile = self.profile
+        key = (profile, self.relation.cardinality)
+        if self._timetable is None or self._timetable[0] != key:
+            # Every exported row has the qualified schema's size.
+            transfer = profile.transfer_ms(self.exported_schema.tuple_size)
+            self._timetable = (key, [transfer] * key[1], profile.jitters(key[1]))
+        _, transfers, jitters = self._timetable
+        if start_row:
+            transfers = transfers[start_row:]
+        return profile.accumulate_arrivals(transfers, jitters, start_ms)
 
     def open(self, at_ms: float = 0.0, start_row: int = 0) -> "SourceConnection":
         """Open a connection at virtual time ``at_ms``.
@@ -229,19 +250,19 @@ class SourceConnection:
         self.requested_at_ms = opened_at_ms if requested_at_ms is None else requested_at_ms
         #: First row of the export this connection streams (tail re-requests).
         self.base_row = start_row
+        #: The export schema; rows leave the connection boxed under it.
+        self.schema = source.exported_schema
         self._slot = slot
         self._cursor = 0
         self._closed = False
-        relation = source.relation
         if source.profile.unavailable:
             self._arrivals: list[float] = []
             self._rows: list[Row] = []
         else:
-            qualified = relation.qualified()
-            rows = qualified.rows
-            self._rows = rows[start_row:] if start_row else rows
-            sizes = [row.size_bytes for row in self._rows]
-            self._arrivals = source.profile.arrival_schedule(sizes, start_ms=opened_at_ms)
+            self._arrivals = source.arrival_schedule(opened_at_ms, start_row)
+            #: The relation's own rows: values are re-boxed under
+            #: :attr:`schema` only when a caller asks for rows.
+            self._rows = source.relation.rows
         limit = source.profile.drop_after_tuples
         if limit is not None:
             # The failure point is a property of the source's export, not of
@@ -256,7 +277,7 @@ class SourceConnection:
         """True once every available tuple has been delivered."""
         if self.source.profile.unavailable:
             return False  # a dead source never finishes, it times out
-        return self._cursor >= len(self._rows)
+        return self._cursor >= len(self._arrivals)
 
     @property
     def closed(self) -> bool:
@@ -300,11 +321,11 @@ class SourceConnection:
             )
         if self.exhausted:
             raise SourceUnavailableError(f"source {self.source.name!r} is exhausted")
-        row = self._rows[self._cursor]
+        row = self._rows[self.base_row + self._cursor]
         arrival = self._arrivals[self._cursor]
         self._cursor += 1
         self.source.stats.tuples_sent += 1
-        return row.with_arrival(arrival), arrival
+        return Row.make(self.schema, row.values, arrival), arrival
 
     def fetch_block(
         self, max_rows: int, arrival_bound: float | None = None, arrival_limit: float | None = None
@@ -315,13 +336,15 @@ class SourceConnection:
         the first tuple arriving at/after ``arrival_bound`` (exclusive) or
         beyond ``arrival_limit`` (inclusive — the caller's timeout horizon);
         the caller falls back to :meth:`fetch`, which surfaces failures and
-        timeouts with exact per-tuple semantics.  Rows are returned unstamped
-        alongside their arrival times.
+        timeouts with exact per-tuple semantics.  The relation's own rows are
+        returned unstamped alongside their arrival times; their values are
+        the export's, and callers that need rows box them under
+        :attr:`schema`.
         """
         if self._closed or self.source.profile.unavailable or max_rows <= 0:
             return [], []
         start = self._cursor
-        stop = len(self._rows)
+        stop = len(self._arrivals)
         if self._fail_at_index is not None:
             stop = min(stop, self._fail_at_index)
         stop = min(stop, start + max_rows)
@@ -339,7 +362,8 @@ class SourceConnection:
                     break
         if stop <= start:
             return [], []
-        rows = self._rows[start:stop]
+        base = self.base_row
+        rows = self._rows[base + start : base + stop]
         arrivals_out = self._arrivals[start:stop]
         self._cursor = stop
         self.source.stats.tuples_sent += stop - start
@@ -365,7 +389,7 @@ class SourceConnection:
         """Tuples not yet delivered (0 for unavailable sources)."""
         if self.source.profile.unavailable:
             return 0
-        limit = len(self._rows)
+        limit = len(self._arrivals)
         if self._fail_at_index is not None:
             limit = min(limit, self._fail_at_index)
         return max(0, limit - self._cursor)

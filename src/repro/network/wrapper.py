@@ -203,6 +203,7 @@ class Wrapper:
             return []
         cpu = self.per_tuple_cpu_ms
         wait_total = 0.0
+        schema = self._connection.schema
         make = Row.make
         out: list[Row] = []
         append = out.append
@@ -211,7 +212,7 @@ class Wrapper:
                 wait_total += arrival - now
                 now = arrival
             now += cpu
-            append(make(row.schema, row.values, now))
+            append(make(schema, row.values, now))
         self.clock.charge(wait_total, cpu * len(out))
         stats = self.stats
         stats.tuples_fetched += len(out)

@@ -240,19 +240,13 @@ class DictColumn:
         """Extend with ``values``; same-dictionary extends move raw codes.
 
         A :class:`DictColumn` sharing this column's dictionary extends as a
-        single ``array.extend`` of codes (the code-vs-code fast path); a
-        foreign :class:`DictColumn` is merged by translating codes through
-        this dictionary; anything else is encoded value by value, raising
-        the degrade errors on a misfit (partial extends are repaired by
-        :func:`extend_column`).
+        single ``array.extend`` of codes (the code-vs-code fast path);
+        anything else — a foreign :class:`DictColumn` decodes first — is
+        encoded in order, raising the degrade errors on a misfit (partial
+        extends are repaired by :func:`extend_column`).
         """
-        if isinstance(values, DictColumn):
-            if values.dictionary is self.dictionary:
-                self.codes.extend(values.codes)
-                return
-            encode = self.dictionary.encode
-            foreign = values.dictionary.values
-            self.codes.extend(encode(foreign[code]) for code in values.codes)
+        if isinstance(values, DictColumn) and values.dictionary is self.dictionary:
+            self.codes.extend(values.codes)
             return
         # Bulk encode: one C-level map over the codes table resolves every
         # already-seen value; only genuinely new (or misfit) values take the
@@ -270,8 +264,7 @@ class DictColumn:
 
     def gather(self, indices: Sequence[int]) -> "DictColumn":
         """Codes at ``indices`` as a new column sharing the dictionary."""
-        codes = self.codes
-        return DictColumn(self.dictionary, array("q", [codes[i] for i in indices]))
+        return DictColumn(self.dictionary, array("q", map(self.codes.__getitem__, indices)))
 
 
 class RunLengthArrivals:
@@ -565,10 +558,10 @@ def build_columns(
 def gather(column, indices: Sequence[int]):
     """Values of ``column`` at ``indices``, preserving the storage class."""
     if type(column) is array:
-        return array(column.typecode, [column[i] for i in indices])
+        return array(column.typecode, map(column.__getitem__, indices))
     if type(column) is DictColumn:
         return column.gather(indices)
-    return [column[i] for i in indices]
+    return list(map(column.__getitem__, indices))
 
 
 def as_values(column) -> Sequence[Any]:
@@ -684,21 +677,9 @@ class ColumnarPartition:
         Dict-encoded pairs take inlined paths: a source sharing the target's
         dictionary moves the raw code; a foreign dict source decodes and
         re-encodes with direct ``codes`` lookups (one C-level dict probe in
-        the common already-seen case, no per-value Python call).  Unencoded
-        partitions keep the original branch-free loop.
+        the common already-seen case, no per-value Python call).
         """
         columns = self.columns
-        if not self.encoded:
-            for j, source in enumerate(source_columns):
-                append_value(columns, j, source[index])
-            position = len(self.arrivals)
-            self.arrivals.append(arrival)
-            found = self.positions.get(key)
-            if found is None:
-                self.positions[key] = [position]
-            else:
-                found.append(position)
-            return
         for j, source in enumerate(source_columns):
             column = columns[j]
             if type(column) is DictColumn and type(source) is DictColumn:
@@ -716,7 +697,11 @@ class ColumnarPartition:
                         continue
                 column.codes.append(code)
                 continue
-            append_value(columns, j, source[index])
+            value = source[index]
+            try:
+                column.append(value)
+            except _DEGRADE_ERRORS:
+                append_value(columns, j, value)
         position = len(self.arrivals)
         self.arrivals.append(arrival)
         found = self.positions.get(key)
@@ -774,42 +759,32 @@ class ColumnarPartition:
         true only when every key matched exactly once.  ``None`` when
         nothing matched.
         """
-        width = len(self.columns)
-        columns = self.columns
-        arrivals = self.arrivals
         positions_by_key = self.positions
         take: list[int] = []
-        match_columns: list[list[Any]] = [[] for _ in range(width)]
-        match_arrivals: list[float] = []
+        where: list[int] = []
         aligned = True
         for position, key in enumerate(keys):
             found = positions_by_key.get(key)
             if not found:
                 aligned = False
-                continue
-            if len(found) == 1:
+            elif len(found) == 1:
                 take.append(position)
+                where.append(found[0])
             else:
                 aligned = False
                 take.extend([position] * len(found))
-            for j in range(width):
-                source = columns[j]
-                acc = match_columns[j]
-                if type(source) is DictColumn:
-                    # Hoisted decode: two C-level subscripts per match, no
-                    # per-value Python call; values are canonical strings.
-                    dvalues = source.dictionary.values
-                    dcodes = source.codes
-                    for p in found:
-                        acc.append(dvalues[dcodes[p]])
-                else:
-                    for p in found:
-                        acc.append(source[p])
-            for p in found:
-                match_arrivals.append(arrivals[p])
+                where.extend(found)
         if not take:
             return None
-        return take, match_columns, match_arrivals, aligned
+        # One C-level take per column; dict-encoded columns decode to their
+        # canonical strings (two subscripts per match, no construction).
+        match_columns = [
+            list(map(column.dictionary.values.__getitem__, map(column.codes.__getitem__, where)))
+            if type(column) is DictColumn
+            else list(map(column.__getitem__, where))
+            for column in self.columns
+        ]
+        return take, match_columns, list(map(self.arrivals.__getitem__, where)), aligned
 
     def value_tuple(self, index: int) -> tuple[Any, ...]:
         """The value vector of one row (boxes a tuple, not a Row)."""

@@ -22,15 +22,18 @@ with the drive.
 
 from __future__ import annotations
 
+from array import array
+from operator import attrgetter, getitem
 from typing import Any, Iterator, Sequence
 from zlib import crc32
 
 from repro.errors import StorageError
 from repro.storage.batch import Batch
 from repro.storage.columns import (
+    DICT_SLOT_BYTES,
     ColumnarPartition,
     DictColumn,
-    extend_column,
+    as_values,
     make_dictionaries,
 )
 from repro.storage.disk import OverflowFile, SimulatedDisk, SpillChunk
@@ -40,6 +43,13 @@ from repro.storage.tuples import KeyBinder, Row
 
 #: Default bucket count; the paper's engine sized this from optimizer hints.
 DEFAULT_BUCKET_COUNT = 64
+
+#: Below this many rows per touched bucket, bulk inserts append row by row.
+SMALL_GROUP_ROWS = 4
+
+_columns_of = attrgetter("columns")
+_codes_of = attrgetter("codes")
+_arrivals_of = attrgetter("arrivals")
 
 
 def bucket_of(key: tuple[Any, ...], bucket_count: int) -> int:
@@ -293,14 +303,7 @@ class BucketedHashTable:
             self._fix_dictionaries(source_columns)
         self._partition(bucket).append_position(key, source_columns, position, arrival)
         if self._adopted_slots:
-            # Inlined _charge_adopted: this sits on the per-tuple insert path.
-            for j, dictionary, seen in self._adopted_slots:
-                source = source_columns[j]
-                if type(source) is DictColumn and source.dictionary is dictionary:
-                    code = source.codes[position]
-                    if code not in seen:
-                        seen.add(code)
-                        self._record_dictionary_growth(dictionary.entry_bytes(code))
+            self._charge_adopted(source_columns, position)
         self.total_inserted += 1
         return True
 
@@ -310,64 +313,69 @@ class BucketedHashTable:
         marked: bool = False,
         keys: Sequence[tuple[Any, ...]] | None = None,
         start: int = 0,
+        stop: int | None = None,
     ) -> int:
-        """Bulk-insert ``batch`` rows from ``start``; returns the stop position.
+        """Bulk-insert ``batch`` rows ``start:stop``; returns the stop position.
 
-        A return equal to ``len(batch)`` means every row was handled.  Rows
-        whose bucket is already flushed are written straight to that bucket's
-        overflow file (they count as handled, exactly as in :meth:`insert`).
-        On the first memory refusal for a resident insert, the refused row's
-        position is returned so the caller can run its overflow strategy and
-        retry from there — the refusal lands on exactly the row where the
-        tuple-at-a-time path would have overflowed.
+        A return equal to ``stop`` (default ``len(batch)``) means every row
+        was handled.  Rows whose bucket is already flushed are written
+        straight to that bucket's overflow file (they count as handled,
+        exactly as in :meth:`insert`).  On the first memory refusal for a
+        resident insert, the refused row's position is returned so the
+        caller can run its overflow strategy and retry from there — the
+        refusal lands on exactly the row where the tuple-at-a-time path
+        would have overflowed.
 
-        When no bucket has flushed and the whole remainder fits the budget,
-        the rows move as per-bucket column gathers (the bulk fast path).
+        When no row's bucket has flushed and the rows fit the budget
+        together with every dictionary entry they add, the rows move as
+        per-bucket column gathers (the bulk fast path).
         """
         self._adopt_schema(batch.schema)
         if keys is None:
             keys = batch.key_tuples(self._binder.indices_in(batch.schema))
-        n = len(batch)
+        n = len(batch) if stop is None else stop
         if start >= n:
             return n
         count = self.bucket_count
         buckets = self.buckets
         columns = batch.columns
-        arrivals = batch.arrivals
+        arrivals = as_values(batch.arrivals)
         remaining = n - start
         if self.encoded and self._dictionaries is None:
             self._fix_dictionaries(columns)
-        if not self.flushed_count and not self.budget.would_overflow(
-            remaining * self.row_bytes
-        ):
-            self.budget.reserve(remaining * self.row_bytes)
-            grouped: dict[int, list[int]] = {}
-            for i in range(start, n):
-                index = hash(keys[i]) % count
-                found = grouped.get(index)
-                if found is None:
-                    grouped[index] = [i]
+        indexes = [hash(keys[i]) % count for i in range(start, n)]
+        grouped: dict[int, list[int]] = {}
+        for i, index in enumerate(indexes, start):
+            found = grouped.get(index)
+            if found is None:
+                grouped[index] = [i]
+            else:
+                found.append(i)
+        if not (self.flushed_count and any(buckets[index].flushed for index in grouped)):
+            growth = self._dictionary_growth(columns, start, n)
+            if growth is not None and not self.budget.would_overflow(
+                remaining * self.row_bytes + growth[0]
+            ):
+                self.budget.reserve(remaining * self.row_bytes)
+                if remaining < SMALL_GROUP_ROWS * len(grouped):
+                    # Few rows per bucket: per-row appends beat per-bucket
+                    # column gathers, whose cost is per column per bucket.
+                    for i, index in enumerate(indexes, start):
+                        self._partition(buckets[index]).append_position(
+                            keys[i], columns, i, arrivals[i]
+                        )
                 else:
-                    found.append(i)
-            for index, positions in grouped.items():
-                self._partition(buckets[index]).extend_gather(
-                    columns, arrivals, keys, positions
-                )
-            if self._adopted_slots:
+                    for index, positions in grouped.items():
+                        self._partition(buckets[index]).extend_gather(
+                            columns, arrivals, keys, positions
+                        )
                 # Bulk form of the per-insert adopted charge: every code in
                 # the inserted range not seen before is charged once.
-                for j, dictionary, seen in self._adopted_slots:
-                    source = columns[j]
-                    if type(source) is DictColumn and source.dictionary is dictionary:
-                        fresh = set(source.codes[start:n]) - seen
-                        if fresh:
-                            seen |= fresh
-                            entry_bytes = dictionary.entry_bytes
-                            self._record_dictionary_growth(
-                                sum(entry_bytes(code) for code in fresh)
-                            )
-            self.total_inserted += remaining
-            return n
+                for seen, fresh, nbytes in growth[1]:
+                    seen |= fresh
+                    self._record_dictionary_growth(nbytes)
+                self.total_inserted += remaining
+                return n
         row_bytes = self.row_bytes
         budget = self.budget
         adopted = self._adopted_slots
@@ -387,6 +395,41 @@ class BucketedHashTable:
             if adopted:
                 self._charge_adopted(columns, i)
         return n
+
+    def _dictionary_growth(self, columns: Sequence, start: int, stop: int):
+        """Bound the dictionary bytes that inserting rows ``start:stop`` charges.
+
+        Returns ``(bytes, adopted)``, where ``adopted`` holds ``(seen,
+        fresh_codes, bytes)`` per adopted slot for the caller to charge.
+        Owned dictionaries charge themselves as values encode; their share
+        counts every new string (a misfit degrades instead, so this is an
+        upper bound).  ``None`` on an unhashable value: no bound.
+        """
+        total = 0
+        adopted: list = []
+        owned = list(enumerate(self._dictionaries or ()))
+        for j, dictionary, seen in self._adopted_slots or ():
+            owned[j] = (j, None)
+            source = columns[j]
+            if type(source) is DictColumn and source.dictionary is dictionary:
+                fresh = set(source.codes[start:stop]) - seen
+                if fresh:
+                    nbytes = sum(map(dictionary.entry_bytes, fresh))
+                    adopted.append((seen, fresh, nbytes))
+                    total += nbytes
+        for j, dictionary in owned:
+            if dictionary is not None:
+                try:
+                    distinct = set(columns[j][start:stop])
+                except TypeError:
+                    return None
+                known = dictionary.codes
+                total += sum(
+                    len(value) + DICT_SLOT_BYTES
+                    for value in distinct
+                    if type(value) is str and value not in known
+                )
+        return total, adopted
 
     def insert_resident(self, row: Row) -> None:
         """Insert assuming memory is available; raises if the budget refuses."""
@@ -434,86 +477,56 @@ class BucketedHashTable:
         and the matched build rows arrive as already-gathered column lists.
         ``aligned`` is true when every key matched exactly once (``take`` is
         the identity permutation).  ``None`` when nothing matched.
+
+        The probe first collects each match's partition and row position in
+        probe order; each column is then filled by one C-level take.  A
+        string column whose matched partitions all hold dictionary codes is
+        gathered as codes into a :class:`DictColumn` sharing the table's
+        dictionary; every other column is gathered as values.
         """
         if self.schema is None:
             return None
-        width = len(self.schema)
         count = self.bucket_count
         buckets = self.buckets
         take: list[int] = []
-        match_columns: list[list[Any]] = [[] for _ in range(width)]
-        match_arrivals: list[float] = []
+        owners: list[ColumnarPartition] = []
+        where: list[int] = []
         aligned = True
-        adopted = not self.encoded
+        take_one, owner_one, where_one = take.append, owners.append, where.append
         probe_range = range(len(keys)) if positions is None else positions
-        probed = 0
         for position in probe_range:
-            probed += 1
             key = keys[position]
-            bucket = buckets[hash(key) % count]
-            partition = bucket.partition
+            partition = buckets[hash(key) % count].partition
             found = partition.positions.get(key) if partition is not None else None
             if not found:
                 aligned = False
-                continue
-            if len(found) == 1:
-                take.append(position)
+            elif len(found) == 1:
+                take_one(position)
+                owner_one(partition)
+                where_one(found[0])
             else:
                 aligned = False
                 take.extend([position] * len(found))
-            columns = partition.columns
-            arrivals = partition.arrivals
-            if not self.encoded:
-                # Unencoded tables keep the original branch-free gathers.
-                for j in range(width):
-                    source = columns[j]
-                    acc = match_columns[j]
-                    for p in found:
-                        acc.append(source[p])
-                for p in found:
-                    match_arrivals.append(arrivals[p])
-                continue
-            if not adopted:
-                # First match fixes the gathered columns' storage: dict
-                # sources get dict accumulators sharing their dictionaries
-                # (every partition of this table shares them), so matched
-                # string values below move as raw codes.
-                adopted = True
-                for j in range(width):
-                    source = columns[j]
-                    if type(source) is DictColumn:
-                        match_columns[j] = DictColumn(source.dictionary)
-            for j in range(width):
-                source = columns[j]
-                acc = match_columns[j]
-                if type(source) is DictColumn:
-                    dcodes = source.codes
-                    if type(acc) is DictColumn and acc.dictionary is source.dictionary:
-                        acc_codes = acc.codes
-                        for p in found:
-                            acc_codes.append(dcodes[p])
-                        continue
-                    # Hoisted decode: C-level subscripts only, values are the
-                    # dictionary's canonical strings (no construction).
-                    dvalues = source.dictionary.values
-                    for p in found:
-                        acc.append(dvalues[dcodes[p]])
-                else:
-                    if type(acc) is DictColumn:
-                        # A degraded partition column met a dict accumulator
-                        # from an earlier bucket: repair via the standard
-                        # degrade path.
-                        extend_column(
-                            match_columns, j, [source[p] for p in found], len(acc)
-                        )
-                        continue
-                    for p in found:
-                        acc.append(source[p])
-            for p in found:
-                match_arrivals.append(arrivals[p])
+                owners.extend([partition] * len(found))
+                where.extend(found)
         if not take:
             return None
-        aligned = aligned and probed == len(keys)
+        match_columns: list = []
+        # ``sources``: each match's partition column for one attribute.
+        for sources in zip(*map(_columns_of, owners)):
+            if type(sources[0]) is DictColumn:
+                # Partitions code the slot in the table's dictionary unless a
+                # misfit degraded the column to a list (no ``codes``).
+                try:
+                    codes = array("q", map(getitem, map(_codes_of, sources), where))
+                except AttributeError:
+                    pass
+                else:
+                    match_columns.append(DictColumn(sources[0].dictionary, codes))
+                    continue
+            match_columns.append(list(map(getitem, sources, where)))
+        match_arrivals = list(map(getitem, map(_arrivals_of, owners), where))
+        aligned = aligned and len(probe_range) == len(keys)
         return take, match_columns, match_arrivals, aligned
 
     def is_bucket_flushed_for(self, key: tuple[Any, ...]) -> bool:

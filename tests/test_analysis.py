@@ -52,18 +52,23 @@ def violation_line(fixture: Path) -> int:
     return marked[0]
 
 
+@pytest.fixture(scope="module")
+def shipped_tree_report():
+    """One whole-tree lint of ``src/repro``, shared by the real-tree checks."""
+    return run_lint([SOURCE_TREE])
+
+
 class TestRealTree:
-    def test_shipped_tree_lints_clean(self):
-        report = run_lint([SOURCE_TREE])
+    def test_shipped_tree_lints_clean(self, shipped_tree_report):
+        report = shipped_tree_report
         rendered = "\n".join(f.render() for f in report.findings)
         assert report.clean, f"invariant violations in src/repro:\n{rendered}"
         assert report.files_checked > 50  # the whole package was actually walked
 
-    def test_boundary_pragmas_are_exercised(self):
+    def test_boundary_pragmas_are_exercised(self, shipped_tree_report):
         # The hot-path modules box rows only at pragma-declared boundaries;
         # if this drops to zero the pragmas (or the rules) went dead.
-        report = run_lint([SOURCE_TREE])
-        assert report.suppressed >= 10
+        assert shipped_tree_report.suppressed >= 10
 
 
 class TestRuleFixtures:

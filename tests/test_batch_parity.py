@@ -36,7 +36,9 @@ from repro.network.profiles import lan, wide_area
 from repro.network.source import DataSource, make_mirror
 from repro.plan.fragments import Fragment, QueryPlan
 from repro.plan.physical import OverflowMethod, collector, join, wrapper_scan
+from repro.plan.rules import EventType
 from repro.query.conjunctive import SelectionPredicate
+from repro.storage.hash_table import BucketedHashTable
 
 from helpers import make_relation, multiset
 
@@ -432,6 +434,184 @@ def test_dpj_spill_drive_parity(
     )
     assert_budget_invariant(row_join)
     assert_budget_invariant(col_join)
+
+
+# -- exact DPJ drive parity: bulk segments vs the per-tuple row pipeline --------------------
+#
+# The columnar drive processes DPJ runs in bulk segments; the row-batch drive
+# still probes, emits and inserts every arriving tuple on its own.  Beyond
+# equal multisets, the two must agree exactly: the same rows in the same
+# order and batch boundaries, the same clock breakdown and disk counters,
+# the same overflow count, and the same spill files (values, arrival stamps
+# and marked bits).
+
+
+def drive_exact(build, catalog, batch_size, columnar, encoded=True, between_batches=None):
+    """Drain ``build``'s join batch by batch and record everything observable."""
+    config = EngineConfig(columnar_batches=columnar, encoded_columns=encoded)
+    context = ExecutionContext(catalog, config=config)
+    joined = build(context)
+    joined.open()
+    batches = []
+    while True:
+        batch = joined.next_batch(batch_size)
+        if not batch:
+            break
+        batches.append([(row.values, row.arrival) for row in batch])
+        if between_batches is not None:
+            between_batches(context)
+    spills = [
+        [(row.values, row.arrival, marked) for row, marked in bucket.overflow.peek()]
+        for table in joined._tables
+        for bucket in table.buckets
+        if bucket.overflow is not None
+    ]
+    joined.close()
+    return {
+        "batches": batches,
+        "now": context.clock.now,
+        "clock": context.clock.stats,
+        "disk": context.disk.stats.snapshot(),
+        "overflow_count": joined.overflow_count,
+        "overflow_events": context.stats.operator(joined.operator_id).overflow_events,
+        "spills": spills,
+    }
+
+
+def assert_exact_drive_parity(build, catalog, batch_size, encoded=True, between_batches=None):
+    """The columnar drive reproduces the row-batch drive exactly; returns its record."""
+    rows = drive_exact(build, catalog, batch_size, False, encoded, between_batches)
+    columnar = drive_exact(build, catalog, batch_size, True, encoded, between_batches)
+    assert rows["batches"], "the join produced nothing"
+    for key, expected in rows.items():
+        assert columnar[key] == expected, f"columnar drive differs in {key}"
+    return columnar
+
+
+@pytest.fixture
+def segment_spy(monkeypatch):
+    """Record ``(room, rows emitted, run rows left)`` for every DPJ segment."""
+    calls = []
+    original = DoublePipelinedJoin._process_segment
+
+    def spied(self, side, run, room):
+        before = len(self._out.arrivals)
+        original(self, side, run, room)
+        calls.append((room, len(self._out.arrivals) - before, len(run.batch) - run.cursor))
+
+    monkeypatch.setattr(DoublePipelinedJoin, "_process_segment", spied)
+    return calls
+
+
+@pytest.fixture
+def refusal_spy(monkeypatch):
+    """Record ``(start, stop, returned)`` for every hash-table bulk insert."""
+    calls = []
+    original = BucketedHashTable.insert_batch
+
+    def spied(self, batch, marked=False, keys=None, start=0, stop=None):
+        result = original(self, batch, marked, keys, start, stop)
+        calls.append((start, len(batch) if stop is None else stop, result))
+        return result
+
+    monkeypatch.setattr(BucketedHashTable, "insert_batch", spied)
+    return calls
+
+
+@pytest.fixture
+def tied_catalog():
+    """Two sources whose arrival timetables are identical: every step ties."""
+    left = make_relation(
+        "tl", ["k:int", "a:str"], [(i % 40, f"a{i % 9}") for i in range(200)]
+    )
+    right = make_relation(
+        "tr", ["k:int", "b:str"], [(i % 50, f"b{i % 4}") for i in range(160)]
+    )
+    catalog = DataSourceCatalog()
+    catalog.register_source(DataSource("tl", left, lan()))
+    catalog.register_source(DataSource("tr", right, lan()))
+    return catalog
+
+
+def tree_tied_dpj(context):
+    return DoublePipelinedJoin(
+        "dpj",
+        context,
+        WrapperScan("scan_tl", context, "tl"),
+        WrapperScan("scan_tr", context, "tr"),
+        ["tl.k"],
+        ["tr.k"],
+    )
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 64])
+def test_dpj_exact_parity_on_tied_arrivals(tied_catalog, batch_size):
+    left, right = tied_catalog.source("tl"), tied_catalog.source("tr")
+    assert left.arrival_schedule(0.0)[:160] == right.arrival_schedule(0.0)
+    assert_exact_drive_parity(tree_tied_dpj, tied_catalog, batch_size)
+
+
+def test_dpj_exact_parity_with_output_cut_mid_segment(parity_catalog, segment_spy):
+    assert_exact_drive_parity(tree_dpj, parity_catalog, 7)
+    assert any(
+        0 < room <= emitted and left > 0 for room, emitted, left in segment_spy
+    ), "no segment was cut by a full output batch"
+
+
+def build_overflowing_dpj(tiny_tpcd, method):
+    def build(context):
+        return DoublePipelinedJoin(
+            "dpj",
+            context,
+            WrapperScan("scan_ps", context, "partsupp"),
+            WrapperScan("scan_p", context, "part"),
+            ["partsupp.ps_partkey"],
+            ["part.p_partkey"],
+            memory_limit_bytes=len(tiny_tpcd["partsupp"]) * 20,
+            bucket_count=8,
+            overflow_method=method,
+        )
+
+    return build
+
+
+@pytest.mark.parametrize("encoded", [True, False])
+@pytest.mark.parametrize("batch_size", [7, 64])
+@pytest.mark.parametrize(
+    "method", [OverflowMethod.LEFT_FLUSH, OverflowMethod.SYMMETRIC_FLUSH]
+)
+def test_dpj_exact_parity_with_refusal_mid_segment(
+    tpcd_catalog, tiny_tpcd, method, batch_size, encoded, refusal_spy
+):
+    record = assert_exact_drive_parity(
+        build_overflowing_dpj(tiny_tpcd, method), tpcd_catalog, batch_size, encoded
+    )
+    assert record["overflow_count"] > 0
+    assert any(any(marked for *_, marked in spill) for spill in record["spills"])
+    assert any(
+        start < returned < stop for start, stop, returned in refusal_spy
+    ), "no bulk insert was refused mid-segment"
+
+
+def test_dpj_exact_parity_with_watched_out_of_memory_cut(tpcd_catalog, tiny_tpcd):
+    build_join = build_overflowing_dpj(tiny_tpcd, OverflowMethod.LEFT_FLUSH)
+
+    def build(context):
+        context.watch_events({(EventType.OUT_OF_MEMORY, "dpj")})
+        return build_join(context)
+
+    def drain_events(context):
+        # The executor clears the interrupt once it has handled the events.
+        context.batch_interrupt = False
+
+    batch_size = 64
+    record = assert_exact_drive_parity(
+        build, tpcd_catalog, batch_size, between_batches=drain_events
+    )
+    batches = record["batches"]
+    assert any(len(batch) < batch_size for batch in batches[:-1]), (
+        "no batch was cut at a watched out_of_memory event"
+    )
 
 
 def test_encoding_reduces_spilled_bytes_on_string_keys(tpcd_catalog, tiny_tpcd):

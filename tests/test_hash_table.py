@@ -207,6 +207,40 @@ class TestColumnarBuckets:
         assert table.resident_rows == 3
         assert table.budget.stats.overflow_events == 1
 
+    @pytest.mark.parametrize("adopted", [False, True], ids=["owned", "adopted"])
+    def test_insert_batch_refuses_where_per_row_inserts_refuse(self, adopted):
+        # Every row carries a fresh string, so every insert also charges a
+        # new dictionary entry; the bulk path must count those bytes before
+        # it admits the rows, whether the table owns its dictionary or
+        # adopts the batch's.
+        from repro.storage.columns import build_columns, make_dictionaries
+
+        keys = list(range(20))
+        values = [f"fresh{k:02d}" for k in keys]
+        dictionaries = make_dictionaries(SCHEMA) if adopted else None
+        columns = build_columns(SCHEMA, [keys, values], adopted, dictionaries)
+        batch = Batch.from_columns(SCHEMA, columns, [0.0] * len(keys))
+        key_tuples = batch.key_tuples((0,))
+        per_row = make_table(limit_bytes=490)
+        refused = next(
+            i
+            for i, key in enumerate(key_tuples)
+            if not per_row.insert_position(bucket_of(key, 8), key, batch.columns, i, 0.0)
+        )
+        bulk = make_table(limit_bytes=490)
+        assert bulk.insert_batch(batch, keys=key_tuples) == refused < len(keys)
+        assert bulk.resident_rows == per_row.resident_rows == refused
+        assert bulk.budget.used_bytes == per_row.budget.used_bytes
+        assert bulk.budget.stats.overflow_events == per_row.budget.stats.overflow_events == 1
+
+    def test_insert_batch_stops_at_stop(self):
+        table = make_table()
+        batch = make_batch(list(range(10)))
+        assert table.insert_batch(batch, start=2, stop=6) == 6
+        assert table.resident_rows == 4
+        assert table.total_inserted == 4
+        assert table.probe((1,)) == [] and len(table.probe((5,))) == 1
+
     def test_insert_batch_routes_flushed_buckets_to_disk(self):
         table = make_table(buckets=1)
         table.insert(make_row(0))

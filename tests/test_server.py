@@ -405,6 +405,29 @@ class TestBrokerRevocationMidBuild:
         )
 
 
+    def test_drive_mode_exact_parity_under_contention(self):
+        # The victim's lease is revoked between its next_batch calls; the
+        # columnar drive's bulk DPJ segments must still reproduce the
+        # row-batch drive's per-tuple pipeline exactly, per session.
+        col_server, *col_sessions, _ = self.run_contended(columnar=True)
+        row_server, *row_sessions, _ = self.run_contended(columnar=False)
+        assert col_server.broker.stats == row_server.broker.stats
+        assert col_server.broker.stats.revocations >= 1
+        for col, row in zip(col_sessions, row_sessions):
+            assert [(r.values, r.arrival) for r in col.result] == [
+                (r.values, r.arrival) for r in row.result
+            ]
+            assert col.summary.completed_at_ms == row.summary.completed_at_ms
+            assert col.context.clock.stats == row.context.clock.stats
+            assert col.context.disk.stats == row.context.disk.stats
+            join_id = f"{col.session_id}_join"
+            assert (
+                col.context.operator(join_id).overflow_count
+                == row.context.operator(join_id).overflow_count
+            )
+        assert col_sessions[0].context.operator("a_join").overflow_count >= 1
+
+
 class TestPlanSessions:
     def make_plan(self, prefix: str, memory: int | None = None) -> QueryPlan:
         fragment = Fragment(

@@ -1,10 +1,15 @@
 """Unit tests for repro.network.source."""
 
+import random
+
 import pytest
 
 from repro.errors import SourceUnavailableError
-from repro.network.profiles import NetworkProfile, dead, lan
+from repro.network.profiles import NetworkProfile, bursty, dead, lan, wide_area
+from repro.network.simclock import SimClock
 from repro.network.source import DataSource, make_mirror
+from repro.network.wrapper import Wrapper
+from repro.storage.tuples import counting_row_constructions
 
 from helpers import make_relation
 
@@ -94,6 +99,108 @@ class TestSourceConnection:
         assert connection.remaining() == 10
         connection.fetch()
         assert connection.remaining() == 9
+
+
+def per_row_schedule(profile, sizes, start_ms):
+    """The per-row arrival loop every connection open used to run."""
+    rng = random.Random(profile.seed)
+    arrivals = []
+    clock = start_ms + profile.initial_latency_ms
+    in_burst = 0
+    for size in sizes:
+        clock += profile.transfer_ms(size)
+        if profile.burst_size > 0:
+            in_burst += 1
+            if in_burst >= profile.burst_size:
+                clock += profile.burst_gap_ms
+                in_burst = 0
+        jitter = rng.uniform(0.0, profile.jitter_ms) if profile.jitter_ms > 0 else 0.0
+        arrivals.append(clock + jitter)
+    return arrivals
+
+
+def expected_schedule(source, start_ms, start_row=0):
+    sizes = [row.size_bytes for row in source.relation.qualified().rows[start_row:]]
+    return per_row_schedule(source.profile, sizes, start_ms)
+
+
+PROFILES = {
+    "lan": lan(),
+    "wide_area": wide_area(seed=11),
+    "bursty": bursty(burst_size=7, seed=3),
+}
+
+
+class TestRowFreeOpen:
+    @pytest.fixture
+    def big(self):
+        return make_relation("big", ["k:int", "s:str"], [(i, f"s{i}") for i in range(450)])
+
+    def test_open_boxes_no_rows(self, big):
+        source = DataSource("big", big, wide_area())
+        with counting_row_constructions() as counter:
+            source.open(at_ms=3.0)
+            source.open(at_ms=9.0, start_row=100)
+            DataSource("dead", big, dead()).open()
+            assert counter.count == 0
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("start_ms", [0.0, 17.25, 1234.567])
+    @pytest.mark.parametrize("start_row", [0, 1, 213])
+    def test_schedule_equals_per_row_loop(self, big, profile, start_ms, start_row):
+        source = DataSource("big", big, PROFILES[profile])
+        for _ in range(2):  # cold and cached
+            connection = source.open(at_ms=start_ms, start_row=start_row)
+            assert connection._arrivals == expected_schedule(source, start_ms, start_row)
+
+    def test_drop_after_tuples_keeps_the_schedule(self, big):
+        source = DataSource("big", big, wide_area(drop_after_tuples=40, seed=5))
+        connection = source.open(at_ms=2.5, start_row=10)
+        expected = expected_schedule(source, 2.5, 10)
+        delivered = []
+        with pytest.raises(SourceUnavailableError):
+            while True:
+                delivered.append(connection.fetch()[1])
+        assert delivered == expected[:30]
+        assert connection._arrivals == expected
+
+    def test_unavailable_source_has_no_schedule(self, big):
+        source = DataSource("dead", big, dead())
+        connection = source.open(at_ms=5.0)
+        assert connection._arrivals == []
+        assert connection.next_arrival() == float("inf")
+        assert connection.remaining() == 0
+        assert connection.fetch_block(10) == ([], [])
+
+    def test_cache_follows_set_profile(self, big):
+        source = DataSource("big", big, lan())
+        source.open(at_ms=1.0)
+        source.set_profile(wide_area(seed=2))
+        assert source.open(at_ms=1.0)._arrivals == expected_schedule(source, 1.0)
+        source.set_profile(bursty())
+        assert source.open(at_ms=1.0)._arrivals == expected_schedule(source, 1.0)
+
+    def test_cache_follows_cardinality(self, big):
+        source = DataSource("big", big, wide_area(seed=4))
+        assert len(source.open()._arrivals) == 450
+        big.extend(make_relation("big", ["k:int", "s:str"], [(-1, "x"), (-2, "y")]).rows)
+        connection = source.open(at_ms=4.0)
+        assert len(connection._arrivals) == 452
+        assert connection._arrivals == expected_schedule(source, 4.0)
+        assert connection.remaining() == 452
+
+    def test_fetched_rows_carry_the_qualified_schema(self, big):
+        source = DataSource("big", big, lan())
+        qualified = ("big.k", "big.s")
+        row, arrival = source.open().fetch()
+        assert row.schema.names == qualified
+        assert row.values == (0, "s0") and row.arrival == arrival
+        wrapper = Wrapper(source, SimClock())
+        wrapper.open(start_row=5)
+        assert wrapper.fetch().schema.names == qualified
+        rows = wrapper.fetch_batch(10)
+        assert [r.values for r in rows] == [(i, f"s{i}") for i in range(6, 16)]
+        assert all(r.schema.names == qualified for r in rows)
 
 
 class TestMakeMirror:
