@@ -1,24 +1,19 @@
-"""Columnar (struct-of-arrays) batches vs. row-backed batches (wall clock).
+"""Columnar batches end to end on the Figure-3a workload: exact gates.
 
-PR 1's batch protocol amortized per-row *driver* overhead but still moved
-``list[Row]`` of boxed per-tuple objects between operators.  This benchmark
-measures what the columnar batch representation buys on top: the Figure-3a
-workload (``lineitem ⋈ supplier ⋈ orders``, both join implementations and
-both build assignments) is executed through the same ``next_batch`` protocol
-twice — once with columnar batches (the default) and once with the flag
-forcing row-backed batches (PR 1's drive) — plus once tuple-at-a-time for
-reference.  All three drives compute identical result multisets and
-*identical* virtual-time accounting (the columnar paths charge the clock
-exactly like the row paths); the difference is pure Python object overhead:
-per-row ``Row`` construction at scan boundaries, per-row key extraction in
-join probes, and per-match output row construction, all of which the
-columnar paths replace with C-speed transposes, column-slice key zips, and
-per-column gathers.
+Scans build columns straight from fetched blocks, selections filter by
+column, hash joins insert and probe by position and assemble output with
+per-column gathers, and the double pipelined join processes its input runs
+in bulk segments — no per-tuple :class:`~repro.storage.tuples.Row` on any
+of those paths.  On the Figure-3a workload (see :mod:`pipeline_records`),
+pulled in full batches, every plan must
 
-The double pipelined join is inherently tuple-driven (its hash tables store
-rows and every arriving tuple probes immediately), so its plan is expected
-to be roughly neutral; the acceptance bar is a ≥1.3× aggregate wall-clock
-improvement across the workload, carried by the hybrid-hash plans.
+* return the reference join's rows,
+* reproduce the committed record's virtual times, overflow and spill
+  counters, and
+* box no more rows than the record (``counting_row_constructions``) — the
+  columnar pipeline's claim, as an exact counter.
+
+Wall-clock throughput is printed for reference and gates nothing.
 """
 
 from __future__ import annotations
@@ -27,159 +22,71 @@ import time
 
 import pytest
 
-from repro.bench.harness import build_deployment, run_operator_tree
 from repro.bench.reporting import format_table
 from repro.engine.iterators import DEFAULT_BATCH_SIZE
-from repro.plan.physical import JoinImplementation, join, wrapper_scan
 
 from bench_support import run_once, scale_mb
+from pipeline_records import (
+    FIG3A_PLANS,
+    canonical_multiset,
+    check_cell,
+    fig3a_deployment,
+    fig3a_key,
+    fig3a_plan,
+    fig3a_reference,
+    load_records,
+    run_cell,
+)
 
-TABLES = ["lineitem", "orders", "supplier"]
-
-#: Wall-clock measurement repetitions per (plan, drive mode); the fastest run
-#: is kept, which filters scheduler noise out of a deterministic computation.
+#: Wall-clock repetitions per plan; the fastest run is kept.
 REPEATS = 3
 
 
 @pytest.fixture(scope="module")
 def deployment():
-    return build_deployment(scale_mb(4.0), TABLES, seed=42)
+    return fig3a_deployment(scale_mb(4.0))
 
 
-def fig3a_plan(first_join_build: str, implementation: JoinImplementation):
-    """One Figure-3a plan: (lineitem ⋈ supplier) ⋈ orders (see bench_fig3a)."""
-    lineitem = wrapper_scan("lineitem")
-    supplier = wrapper_scan("supplier")
-    if first_join_build == "supplier":
-        first = join(
-            lineitem, supplier, ["lineitem.l_suppkey"], ["supplier.s_suppkey"],
-            implementation=implementation,
-        )
-    else:
-        first = join(
-            supplier, lineitem, ["supplier.s_suppkey"], ["lineitem.l_suppkey"],
-            implementation=implementation,
-        )
-    return join(
-        first, wrapper_scan("orders"), ["lineitem.l_orderkey"], ["orders.o_orderkey"],
-        implementation=implementation,
-    )
-
-
-PLANS = {
-    "dpj": ("supplier", JoinImplementation.DOUBLE_PIPELINED),
-    "hybrid_good": ("supplier", JoinImplementation.HYBRID_HASH),
-    "hybrid_bad": ("lineitem", JoinImplementation.HYBRID_HASH),
-}
-
-#: (drive label, batch_size, columnar flag)
-DRIVES = [
-    ("tuple", None, False),
-    ("rows", DEFAULT_BATCH_SIZE, False),
-    ("columnar", DEFAULT_BATCH_SIZE, True),
-]
-
-
-def time_plan(deployment, label: str, batch_size, columnar: bool):
-    """Fastest-of-N wall-clock run of one plan under one drive mode."""
-    build, implementation = PLANS[label]
-    best, cardinality, completion = float("inf"), 0, 0.0
-    for _ in range(REPEATS):
-        started = time.perf_counter()
-        result = run_operator_tree(
-            fig3a_plan(build, implementation),
-            deployment.catalog,
-            result_name=f"columnar_bench_{label}",
-            batch_size=batch_size,
-            columnar=columnar,
-        )
-        best = min(best, time.perf_counter() - started)
-        cardinality = result.cardinality
-        completion = result.completion_time_ms
-    return best, cardinality, completion
-
-
-def run_comparison(deployment):
+def measure(deployment):
+    reference = fig3a_reference(deployment)
     measurements = {}
-    for label in PLANS:
-        per_drive = {}
-        for drive, batch_size, columnar in DRIVES:
-            seconds, cardinality, completion = time_plan(
-                deployment, label, batch_size, columnar
+    problems = []
+    for label in FIG3A_PLANS:
+        best = float("inf")
+        for _ in range(REPEATS):
+            started = time.perf_counter()
+            result, counters = run_cell(
+                fig3a_plan(label), deployment.catalog, f"columnar_bench_{label}"
             )
-            per_drive[drive] = {
-                "s": seconds,
-                "rows": cardinality,
-                "virtual_ms": completion,
-            }
-        cards = {d: m["rows"] for d, m in per_drive.items()}
-        assert len(set(cards.values())) == 1, f"{label}: drive modes disagree: {cards}"
-        # The two batch drives differ only in representation; their virtual
-        # clocks must agree exactly (the tuple drive may differ by a few
-        # percent — batching coarsens the CPU/wait interleave).
-        assert per_drive["rows"]["virtual_ms"] == pytest.approx(
-            per_drive["columnar"]["virtual_ms"], rel=1e-9
-        ), f"{label}: columnar drive changed the virtual-time accounting"
-        measurements[label] = per_drive
-    return measurements
+            best = min(best, time.perf_counter() - started)
+        if canonical_multiset(result.relation) != reference:
+            problems.append(f"{label}: result differs from the reference join")
+        problems.extend(check_cell(fig3a_key(label, DEFAULT_BATCH_SIZE, scale_mb(4.0)), counters))
+        measurements[label] = dict(counters, s=best)
+    return measurements, problems
 
 
 def print_report(measurements) -> None:
+    records = load_records()
     rows = []
-    for label, per_drive in measurements.items():
+    for label, m in measurements.items():
+        recorded = records.get(fig3a_key(label, DEFAULT_BATCH_SIZE, scale_mb(4.0)), {})
         rows.append(
             [
                 label,
-                per_drive["columnar"]["rows"],
-                round(per_drive["tuple"]["s"] * 1000, 1),
-                round(per_drive["rows"]["s"] * 1000, 1),
-                round(per_drive["columnar"]["s"] * 1000, 1),
-                f"{per_drive['rows']['s'] / per_drive['columnar']['s']:.2f}x",
-                f"{per_drive['tuple']['s'] / per_drive['columnar']['s']:.2f}x",
+                m["rows"],
+                round(m["s"] * 1000, 1),
+                f"{m['rows'] / m['s']:,.0f}",
+                m["rows_boxed"],
+                recorded.get("rows_boxed", "-"),
             ]
         )
-    total = {d: sum(m[d]["s"] for m in measurements.values()) for d, _, _ in DRIVES}
-    rows.append(
-        [
-            "workload total", "",
-            round(total["tuple"] * 1000, 1),
-            round(total["rows"] * 1000, 1),
-            round(total["columnar"] * 1000, 1),
-            f"{total['rows'] / total['columnar']:.2f}x",
-            f"{total['tuple'] / total['columnar']:.2f}x",
-        ]
-    )
     print()
-    print("Columnar vs row-backed batches — Fig-3a workload (wall clock)")
-    print(
-        format_table(
-            [
-                "plan", "rows", "tuple (ms)", "row-batch (ms)", "columnar (ms)",
-                "col vs rows", "col vs tuple",
-            ],
-            rows,
-        )
-    )
+    print("Columnar pipeline — Fig-3a workload (rows boxed vs record; wall clock for reference)")
+    print(format_table(["plan", "rows", "wall (ms)", "rows/s", "rows boxed", "record"], rows))
 
 
-def test_columnar_pipeline_speedup(benchmark, deployment):
-    measurements = run_once(benchmark, lambda: run_comparison(deployment))
+def test_columnar_pipeline_counters(benchmark, deployment):
+    measurements, problems = run_once(benchmark, lambda: measure(deployment))
     print_report(measurements)
-
-    total_rows = sum(m["rows"]["s"] for m in measurements.values())
-    total_columnar = sum(m["columnar"]["s"] for m in measurements.values())
-    aggregate = total_rows / total_columnar
-    assert aggregate >= 1.3, (
-        f"columnar drive only {aggregate:.2f}x faster than the row-batch "
-        f"baseline across the workload (need >= 1.3x)"
-    )
-    for label, per_drive in measurements.items():
-        speedup = per_drive["rows"]["s"] / per_drive["columnar"]["s"]
-        _, implementation = PLANS[label]
-        if implementation == JoinImplementation.HYBRID_HASH:
-            # The hybrid plans carry the win: scans, probes, and outputs all
-            # stay columnar end to end.
-            assert speedup >= 1.15, f"{label}: speedup {speedup:.2f}x below floor"
-        else:
-            # The DPJ boxes rows regardless; columnar must not regress it.
-            assert speedup >= 0.85, f"{label}: columnar regressed DPJ {speedup:.2f}x"
+    assert not problems, "\n".join(problems)

@@ -5,7 +5,7 @@ the join key is the stringified part key (a Fig-3a-shaped plan whose memory
 behaviour is dominated by string storage), with memory allotments sized as a
 fraction of the **plain** columnar join state so the plain run spills heavily.
 Each plan — the double pipelined join under both overflow strategies plus a
-memory-constrained hybrid hash join — runs under the three drive modes, twice:
+memory-constrained hybrid hash join — runs twice:
 
 * **encoded** (``EngineConfig(encoded_columns=True)``, the engine default) —
   string columns are dictionary-coded in scan batches, hash-table partitions,
@@ -15,12 +15,9 @@ memory-constrained hybrid hash join — runs under the three drive modes, twice:
 * **plain** (``encoded_columns=False``) — PR 3's columnar layer, the
   baseline.
 
-Encoding lives in the storage layer, so within one encoding the two batch
-drives must agree *exactly* on results, overflow events, and spill I/O (the
-tuple drive holds to the documented interleaving tolerance) — all asserted.
-The acceptance bars, on the string-keyed overflow workload under the
-columnar drive: encoded ≥ 1.2× wall clock and ≥ 1.5× fewer spilled bytes
-than plain.  Each run appends a trajectory record to ``BENCH_encoding.json``
+Both encodings must produce the same result cardinality.  The acceptance
+bars, on the string-keyed overflow workload: encoded ≥ 1.2× wall clock and
+≥ 1.5× fewer spilled bytes than plain.  Each run appends a trajectory record to ``BENCH_encoding.json``
 at the repo root (per-plan ratios + overflow counts) so performance history
 accumulates across commits.
 """
@@ -38,7 +35,6 @@ from repro.bench.harness import build_deployment, run_operator_tree
 from repro.bench.reporting import format_table
 from repro.catalog.catalog import DataSourceCatalog
 from repro.engine.context import EngineConfig
-from repro.engine.iterators import DEFAULT_BATCH_SIZE
 from repro.network.profiles import lan
 from repro.network.source import DataSource
 from repro.plan.physical import JoinImplementation, OverflowMethod, join, wrapper_scan
@@ -61,13 +57,6 @@ DISK_READ_MS, DISK_WRITE_MS = 1.0, 1.2
 
 #: Wall-clock measurement repetitions per cell; fastest run kept.
 REPEATS = 5
-
-#: (drive label, batch_size, columnar flag)
-DRIVES = [
-    ("tuple", None, False),
-    ("rows", DEFAULT_BATCH_SIZE, False),
-    ("columnar", DEFAULT_BATCH_SIZE, True),
-]
 
 ENCODINGS = ["plain", "encoded"]
 
@@ -157,7 +146,7 @@ def spill_plan(label: str, memory_bytes: int):
 
 
 def run_workload(catalog):
-    """All plans × encodings × drives; fastest-of-N wall clock per cell.
+    """All plans × encodings; fastest-of-N wall clock per cell.
 
     The two encodings' repetitions are *interleaved* (plain, encoded,
     plain, encoded, …) so slow drift of the machine — CPU frequency,
@@ -173,82 +162,50 @@ def run_workload(catalog):
         )
         for encoding in ENCODINGS
     }
-    measurements: dict[str, dict[str, dict[str, dict]]] = {}
+    measurements: dict[str, dict[str, dict]] = {}
     for label in PLAN_LABELS:
-        per_encoding: dict[str, dict[str, dict]] = {
-            encoding: {} for encoding in ENCODINGS
-        }
-        for drive, batch_size, columnar in DRIVES:
-            best = {encoding: float("inf") for encoding in ENCODINGS}
-            cells: dict[str, dict] = {}
-            for _ in range(REPEATS):
-                for encoding in ENCODINGS:
-                    gc.collect()  # keep collector pauses out of the timing
-                    started = time.perf_counter()
-                    result = run_operator_tree(
-                        spill_plan(label, memory_bytes),
-                        catalog,
-                        result_name=f"enc_{label}_{encoding}_{drive}",
-                        engine_config=configs[encoding],
-                        batch_size=batch_size,
-                        columnar=columnar,
-                    )
-                    elapsed = time.perf_counter() - started
-                    if elapsed < best[encoding]:
-                        best[encoding] = elapsed
-                    disk = result.context.disk.stats
-                    cells[encoding] = {
-                        "rows": result.cardinality,
-                        "virtual_ms": result.completion_time_ms,
-                        "overflow_events": result.context.stats.operator(
-                            "enc_join"
-                        ).overflow_events,
-                        "tuples_spilled": disk.tuples_written,
-                        "bytes_spilled": disk.bytes_written,
-                        "bytes_reread": disk.bytes_read,
-                    }
+        best = {encoding: float("inf") for encoding in ENCODINGS}
+        cells: dict[str, dict] = {}
+        for _ in range(REPEATS):
             for encoding in ENCODINGS:
-                cell = cells[encoding]
-                cell["s"] = best[encoding]
-                per_encoding[encoding][drive] = cell
-        measurements[label] = per_encoding
+                gc.collect()  # keep collector pauses out of the timing
+                started = time.perf_counter()
+                result = run_operator_tree(
+                    spill_plan(label, memory_bytes),
+                    catalog,
+                    result_name=f"enc_{label}_{encoding}",
+                    engine_config=configs[encoding],
+                )
+                elapsed = time.perf_counter() - started
+                if elapsed < best[encoding]:
+                    best[encoding] = elapsed
+                disk = result.context.disk.stats
+                cells[encoding] = {
+                    "rows": result.cardinality,
+                    "virtual_ms": result.completion_time_ms,
+                    "overflow_events": result.context.stats.operator(
+                        "enc_join"
+                    ).overflow_events,
+                    "tuples_spilled": disk.tuples_written,
+                    "bytes_spilled": disk.bytes_written,
+                    "bytes_reread": disk.bytes_read,
+                }
+        for encoding in ENCODINGS:
+            cells[encoding]["s"] = best[encoding]
+        measurements[label] = cells
     return measurements
 
 
 def assert_parity(measurements) -> None:
-    """Results must not depend on drive or encoding; I/O not on the drive.
+    """Results must not depend on the encoding; plain storage must spill.
 
-    All six (encoding, drive) cells of one plan produce the same result
-    cardinality (multisets are held equal by ``tests/test_batch_parity.py``).
-    Within one encoding the two batch drives share the storage layer
-    bit for bit, so overflow events and spill bytes agree exactly; the
-    tuple drive's counts may sit within the documented interleaving
-    tolerance (run lookahead shifts which tuples arrive after their bucket
-    flushed).
+    Both encodings of one plan produce the same result cardinality
+    (multisets are held to the oracle by ``tests/test_batch_parity.py``).
     """
     for label, per_encoding in measurements.items():
-        cards = {
-            (encoding, drive): cell["rows"]
-            for encoding, per_drive in per_encoding.items()
-            for drive, cell in per_drive.items()
-        }
+        cards = {encoding: cell["rows"] for encoding, cell in per_encoding.items()}
         assert len(set(cards.values())) == 1, f"{label}: results differ: {cards}"
-        for encoding, per_drive in per_encoding.items():
-            for metric in ("overflow_events", "tuples_spilled", "bytes_spilled", "bytes_reread"):
-                assert per_drive["rows"][metric] == per_drive["columnar"][metric], (
-                    f"{label}/{encoding}: {metric} differs between the batch drives"
-                )
-            assert per_drive["rows"]["virtual_ms"] == pytest.approx(
-                per_drive["columnar"]["virtual_ms"], rel=1e-9
-            ), f"{label}/{encoding}: encoding changed the drives' virtual-time parity"
-            if scale_mb(3.0) >= STRICT_SCALE_MB:
-                batch_events = per_drive["rows"]["overflow_events"]
-                tuple_events = per_drive["tuple"]["overflow_events"]
-                assert abs(tuple_events - batch_events) <= max(2, batch_events // 10), (
-                    f"{label}/{encoding}: tuple-drive overflow events {tuple_events} "
-                    f"too far from batch drives' {batch_events}"
-                )
-        assert per_encoding["plain"]["rows"]["overflow_events"] > 0, (
+        assert per_encoding["plain"]["overflow_events"] > 0, (
             f"{label}: workload was meant to force spills in plain mode"
         )
         # Encoding delays overflow: the same allotment produces fewer
@@ -258,16 +215,16 @@ def assert_parity(measurements) -> None:
         # flush smaller buckets more often.
         if scale_mb(3.0) >= STRICT_SCALE_MB:
             assert (
-                per_encoding["encoded"]["rows"]["overflow_events"]
-                < per_encoding["plain"]["rows"]["overflow_events"]
+                per_encoding["encoded"]["overflow_events"]
+                < per_encoding["plain"]["overflow_events"]
             ), f"{label}: encoding did not delay overflow"
 
 
 def print_report(measurements) -> None:
     rows = []
     for label, per_encoding in measurements.items():
-        plain = per_encoding["plain"]["columnar"]
-        encoded = per_encoding["encoded"]["columnar"]
+        plain = per_encoding["plain"]
+        encoded = per_encoding["encoded"]
         rows.append(
             [
                 label,
@@ -281,8 +238,8 @@ def print_report(measurements) -> None:
                 f"{plain['s'] / encoded['s']:.2f}x",
             ]
         )
-    total_plain = sum(m["plain"]["columnar"]["s"] for m in measurements.values())
-    total_encoded = sum(m["encoded"]["columnar"]["s"] for m in measurements.values())
+    total_plain = sum(m["plain"]["s"] for m in measurements.values())
+    total_encoded = sum(m["encoded"]["s"] for m in measurements.values())
     rows.append(
         [
             "workload total", "", "", "", "", "",
@@ -292,7 +249,7 @@ def print_report(measurements) -> None:
         ]
     )
     print()
-    print("Encoded vs plain columnar — string-keyed part x partsupp overflow workload")
+    print("Encoded vs plain columns — string-keyed part x partsupp overflow workload")
     print(
         format_table(
             [
@@ -314,20 +271,20 @@ def append_trajectory(measurements, aggregate: float) -> None:
         "plans": {
             label: {
                 "speedup_encoded_vs_plain": round(
-                    per_encoding["plain"]["columnar"]["s"]
-                    / per_encoding["encoded"]["columnar"]["s"],
+                    per_encoding["plain"]["s"]
+                    / per_encoding["encoded"]["s"],
                     4,
                 ),
                 "spilled_bytes_ratio_plain_vs_encoded": round(
-                    per_encoding["plain"]["columnar"]["bytes_spilled"]
-                    / max(1, per_encoding["encoded"]["columnar"]["bytes_spilled"]),
+                    per_encoding["plain"]["bytes_spilled"]
+                    / max(1, per_encoding["encoded"]["bytes_spilled"]),
                     4,
                 ),
-                "overflow_events_plain": per_encoding["plain"]["columnar"]["overflow_events"],
-                "overflow_events_encoded": per_encoding["encoded"]["columnar"]["overflow_events"],
-                "bytes_spilled_encoded": per_encoding["encoded"]["columnar"]["bytes_spilled"],
+                "overflow_events_plain": per_encoding["plain"]["overflow_events"],
+                "overflow_events_encoded": per_encoding["encoded"]["overflow_events"],
+                "bytes_spilled_encoded": per_encoding["encoded"]["bytes_spilled"],
                 "virtual_ms_encoded": round(
-                    per_encoding["encoded"]["columnar"]["virtual_ms"], 3
+                    per_encoding["encoded"]["virtual_ms"], 3
                 ),
             }
             for label, per_encoding in measurements.items()
@@ -352,16 +309,16 @@ def test_encoding_pipeline_speedup(benchmark, deployment):
 
     # Spilled-bytes bar: scale-independent, per plan.
     for label, per_encoding in measurements.items():
-        plain_bytes = per_encoding["plain"]["columnar"]["bytes_spilled"]
-        encoded_bytes = per_encoding["encoded"]["columnar"]["bytes_spilled"]
+        plain_bytes = per_encoding["plain"]["bytes_spilled"]
+        encoded_bytes = per_encoding["encoded"]["bytes_spilled"]
         ratio = plain_bytes / max(1, encoded_bytes)
         assert ratio >= 1.5, (
             f"{label}: encoded spill only {ratio:.2f}x smaller than plain "
             f"({encoded_bytes}B vs {plain_bytes}B; need >= 1.5x)"
         )
 
-    total_plain = sum(m["plain"]["columnar"]["s"] for m in measurements.values())
-    total_encoded = sum(m["encoded"]["columnar"]["s"] for m in measurements.values())
+    total_plain = sum(m["plain"]["s"] for m in measurements.values())
+    total_encoded = sum(m["encoded"]["s"] for m in measurements.values())
     aggregate = total_plain / total_encoded
     append_trajectory(measurements, aggregate)
     # Wall-clock bar: the string-keyed §4.2.3 overflow plan (the DPJ under
@@ -369,7 +326,7 @@ def test_encoding_pipeline_speedup(benchmark, deployment):
     # overflow-resolution cost) must run ≥ 1.2× faster encoded; the whole
     # workload must never regress.
     headline = measurements["dpj_left"]
-    speedup = headline["plain"]["columnar"]["s"] / headline["encoded"]["columnar"]["s"]
+    speedup = headline["plain"]["s"] / headline["encoded"]["s"]
     if scale_mb(3.0) >= STRICT_SCALE_MB:
         assert speedup >= 1.2, (
             f"encoded storage only {speedup:.2f}x faster than plain columnar "

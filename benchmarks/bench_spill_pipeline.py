@@ -1,29 +1,26 @@
-"""Columnar spill pipeline vs the row-spill baseline (wall clock).
+"""The columnar spill pipeline on the §4.2.3 overflow workload: exact gates.
 
-The §4.2.3 overflow workload: ``part ⋈ partsupp`` with memory allotments far
-below the join state, so every plan spills — the double pipelined join under
-both overflow strategies (Incremental Left Flush and Incremental Symmetric
-Flush) plus a memory-constrained hybrid hash join whose probe phase spills
-outer tuples of flushed buckets.
+``part ⋈ partsupp`` with memory allotments far below the join state, so
+every plan spills — the double pipelined join under both overflow
+strategies (Incremental Left Flush and Incremental Symmetric Flush) plus a
+memory-constrained hybrid hash join whose probe phase spills outer tuples of
+flushed buckets (see :mod:`pipeline_records`).  Runs and builds arrive as
+batches, arriving tuples probe and insert by position, spills move column
+values, and the final overflow resolution joins spill chunks positionally.
 
-Each plan runs under the three drive modes.  The hash tables, memory
-accounting, and spill files are columnar in every mode (so overflow events,
-spilled-tuple counts, and the virtual clock agree exactly across the batch
-drives — all asserted); what differs is how tuples move around them:
+Each plan must
 
-* **columnar** — runs/builds arrive as struct-of-arrays batches, arriving
-  tuples probe and insert by position, spills move column values, and the
-  final overflow resolution joins spill chunks positionally.  No ``Row``
-  objects on the hash-table or spill hot paths.
-* **rows** (the row-spill baseline) — every tuple is boxed at the scan, fed
-  to the hash tables row by row, and overflow resolution re-boxes what it
-  reads back from disk.
-* **tuple** — the classic open/next/close drive, for reference.
+* return the reference join's rows,
+* reproduce the committed record's virtual completion time, overflow
+  events, spilled and re-read tuples and spilled bytes exactly, and
+* box no more rows than the record.
 
-The acceptance bar is a ≥1.3× aggregate wall-clock win for the columnar
-drive over the row-spill baseline.  Each run also appends a trajectory
-record to ``BENCH_spill.json`` at the repo root (per-plan ratios + overflow
-counts) so performance history accumulates across commits.
+``REPRO_BENCH_SCALE_MB`` scales the generated data and the memory limit
+with it (always :data:`~pipeline_records.MEMORY_FRACTION` of the join
+state), so the workload overflows at every scale; records exist for the
+default scale only.  Each run appends a record (per-plan wall clock and
+counters) to ``BENCH_spill.json`` at the repo root — the accumulating
+perf-history artifact, uploaded by CI.  Wall clock gates nothing.
 """
 
 from __future__ import annotations
@@ -34,228 +31,97 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import build_deployment, run_operator_tree
 from repro.bench.reporting import format_table
-from repro.engine.context import EngineConfig
-from repro.engine.iterators import DEFAULT_BATCH_SIZE
-from repro.plan.physical import JoinImplementation, OverflowMethod, join, wrapper_scan
 
 from bench_support import run_once, scale_mb
-
-TABLES = ["part", "partsupp"]
-
-#: Memory allotment as a fraction of the join state actually needed.
-MEMORY_FRACTION = 1 / 3
-
-#: Spill I/O charged at spinning-disk rates (the Figure-4 configuration).
-#: Column *encoding* is pinned off: this benchmark isolates the drive-mode
-#: effect (columnar vs row-spill) at the PR-3 plain-columnar storage layer;
-#: the encoding effect at a fixed drive is measured by
-#: ``bench_encoding_pipeline.py``.
-DISK_CONFIG = EngineConfig(
-    disk_page_read_ms=1.0, disk_page_write_ms=1.2, encoded_columns=False
+from pipeline_records import (
+    DISK_CONFIG,
+    SPILL_PLANS,
+    canonical_multiset,
+    check_cell,
+    run_cell,
+    spill_deployment,
+    spill_key,
+    spill_memory_bytes,
+    spill_plan,
+    spill_reference,
 )
 
-#: Wall-clock measurement repetitions per (plan, drive); fastest run kept.
-#: Five keeps the fastest-of estimate stable on noisy CI machines.
+#: Wall-clock repetitions per plan; the fastest run is kept.
 REPEATS = 5
 
-#: (drive label, batch_size, columnar flag)
-DRIVES = [
-    ("tuple", None, False),
-    ("rows", DEFAULT_BATCH_SIZE, False),
-    ("columnar", DEFAULT_BATCH_SIZE, True),
-]
-
 TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_spill.json"
-
-#: Below this data scale the workload is a few milliseconds of fixed
-#: overhead, so the wall-clock bar and the tuple-drive interleaving
-#: tolerance only apply at or above it (same caveat as ``bench_fig3b``:
-#: shape assertions hold at the default scale).
-STRICT_SCALE_MB = 2.0
 
 
 @pytest.fixture(scope="module")
 def deployment():
-    return build_deployment(scale_mb(3.0), TABLES, seed=42)
+    return spill_deployment(scale_mb(3.0))
 
 
-def join_state_bytes(deployment) -> int:
-    """Columnar bytes needed to hold both inputs' hash tables resident."""
-    part = deployment.database["part"]
-    partsupp = deployment.database["partsupp"]
-    return (
-        part.cardinality * part.schema.qualified(part.name).columnar_row_size
-        + partsupp.cardinality * partsupp.schema.qualified(partsupp.name).columnar_row_size
-    )
-
-
-def spill_plan(label: str, memory_bytes: int):
-    """One overflow-workload plan, with a stable operator id for stats."""
-    if label == "hybrid":
-        return join(
-            wrapper_scan("part"),
-            wrapper_scan("partsupp"),
-            ["part.p_partkey"],
-            ["partsupp.ps_partkey"],
-            implementation=JoinImplementation.HYBRID_HASH,
-            memory_limit_bytes=memory_bytes,
-            operator_id="spill_join",
-        )
-    method = (
-        OverflowMethod.SYMMETRIC_FLUSH
-        if label == "dpj_symmetric"
-        else OverflowMethod.LEFT_FLUSH
-    )
-    return join(
-        wrapper_scan("part"),
-        wrapper_scan("partsupp"),
-        ["part.p_partkey"],
-        ["partsupp.ps_partkey"],
-        implementation=JoinImplementation.DOUBLE_PIPELINED,
-        overflow_method=method,
-        memory_limit_bytes=memory_bytes,
-        operator_id="spill_join",
-    )
-
-
-PLAN_LABELS = ["dpj_left", "dpj_symmetric", "hybrid"]
-
-
-def run_workload(deployment):
-    """All plans under all drives; fastest-of-N wall clock per cell."""
-    memory_bytes = int(join_state_bytes(deployment) * MEMORY_FRACTION)
-    measurements: dict[str, dict[str, dict]] = {}
-    for label in PLAN_LABELS:
-        per_drive: dict[str, dict] = {}
-        for drive, batch_size, columnar in DRIVES:
-            best, cell = float("inf"), None
-            for _ in range(REPEATS):
-                started = time.perf_counter()
-                result = run_operator_tree(
-                    spill_plan(label, memory_bytes),
-                    deployment.catalog,
-                    result_name=f"spill_{label}_{drive}",
-                    engine_config=DISK_CONFIG,
-                    batch_size=batch_size,
-                    columnar=columnar,
-                )
-                elapsed = time.perf_counter() - started
-                if elapsed < best:
-                    best = elapsed
-                disk = result.context.disk.stats
-                cell = {
-                    "rows": result.cardinality,
-                    "virtual_ms": result.completion_time_ms,
-                    "overflow_events": result.context.stats.operator(
-                        "spill_join"
-                    ).overflow_events,
-                    "tuples_spilled": disk.tuples_written,
-                    "tuples_reread": disk.tuples_read,
-                }
-            cell["s"] = best
-            per_drive[drive] = cell
-        measurements[label] = per_drive
-    return measurements
-
-
-def assert_drive_parity(measurements) -> None:
-    """Results and overflow behaviour must not depend on the drive.
-
-    All three drives must produce the same result multiset (cardinality
-    checked here, multisets in ``tests/test_batch_parity.py``) and the same
-    number of overflow events.  The two batch drives differ only in data
-    representation, so their spill I/O and virtual clocks must agree
-    *exactly*; the tuple drive's spilled-tuple count may differ by a hair —
-    run lookahead slightly shifts which tuples arrive after their bucket
-    flushed — which is the documented cross-drive interleaving tolerance.
-    """
-    for label, per_drive in measurements.items():
-        values = {drive: cell["rows"] for drive, cell in per_drive.items()}
-        assert len(set(values.values())) == 1, f"{label}: results differ: {values}"
-        for metric in ("overflow_events", "tuples_spilled", "tuples_reread"):
-            assert per_drive["rows"][metric] == per_drive["columnar"][metric], (
-                f"{label}: {metric} differ between the batch drives"
+def measure(deployment):
+    reference = spill_reference(deployment)
+    memory_bytes = spill_memory_bytes(deployment)
+    measurements = {}
+    problems = []
+    for label in SPILL_PLANS:
+        best = float("inf")
+        for _ in range(REPEATS):
+            started = time.perf_counter()
+            result, counters = run_cell(
+                spill_plan(label, memory_bytes), deployment.catalog, f"spill_{label}", DISK_CONFIG
             )
-        # The tuple drive consumes in a marginally different arrival order
-        # (no run lookahead), so its overflow-event count may sit within the
-        # documented cross-drive interleaving tolerance of the batch drives'.
-        # At toy scales the relative skew grows (few buckets, few events), so
-        # the bound only applies at the strict scale.
-        if scale_mb(3.0) >= STRICT_SCALE_MB:
-            batch_events = per_drive["rows"]["overflow_events"]
-            tuple_events = per_drive["tuple"]["overflow_events"]
-            assert abs(tuple_events - batch_events) <= max(2, batch_events // 10), (
-                f"{label}: tuple-drive overflow events {tuple_events} too far "
-                f"from batch drives' {batch_events}"
-            )
-        assert per_drive["rows"]["overflow_events"] > 0, (
-            f"{label}: workload was meant to force spills"
-        )
-        assert per_drive["rows"]["virtual_ms"] == pytest.approx(
-            per_drive["columnar"]["virtual_ms"], rel=1e-9
-        ), f"{label}: columnar spill changed the virtual-time accounting"
+            best = min(best, time.perf_counter() - started)
+        if canonical_multiset(result.relation) != reference:
+            problems.append(f"{label}: result differs from the reference join")
+        if not counters["overflow_events"]:
+            problems.append(f"{label}: workload was meant to force spills")
+        problems.extend(check_cell(spill_key(label, scale_mb(3.0)), counters))
+        measurements[label] = dict(counters, s=best)
+    return measurements, problems
 
 
 def print_report(measurements) -> None:
-    rows = []
-    for label, per_drive in measurements.items():
-        rows.append(
-            [
-                label,
-                per_drive["columnar"]["rows"],
-                per_drive["columnar"]["overflow_events"],
-                per_drive["columnar"]["tuples_spilled"],
-                round(per_drive["tuple"]["s"] * 1000, 1),
-                round(per_drive["rows"]["s"] * 1000, 1),
-                round(per_drive["columnar"]["s"] * 1000, 1),
-                f"{per_drive['rows']['s'] / per_drive['columnar']['s']:.2f}x",
-            ]
-        )
-    total = {d: sum(m[d]["s"] for m in measurements.values()) for d, _, _ in DRIVES}
-    rows.append(
+    rows = [
         [
-            "workload total", "", "", "",
-            round(total["tuple"] * 1000, 1),
-            round(total["rows"] * 1000, 1),
-            round(total["columnar"] * 1000, 1),
-            f"{total['rows'] / total['columnar']:.2f}x",
+            label,
+            m["rows"],
+            m["overflow_events"],
+            m["tuples_spilled"],
+            m["bytes_spilled"],
+            round(m["virtual_ms"], 3),
+            round(m["s"] * 1000, 1),
+            m["rows_boxed"],
         ]
-    )
+        for label, m in measurements.items()
+    ]
     print()
-    print("Columnar spill vs row-spill baseline — part x partsupp at 1/3 memory")
+    print("Columnar spill pipeline — part x partsupp at 1/3 memory")
     print(
         format_table(
             [
-                "plan", "rows", "overflows", "spilled",
-                "tuple (ms)", "row-spill (ms)", "columnar (ms)", "col vs rows",
+                "plan", "rows", "overflows", "spilled", "spilled B", "virtual ms",
+                "wall (ms)", "rows boxed",
             ],
             rows,
         )
     )
 
 
-def append_trajectory(measurements, aggregate: float) -> None:
+def append_trajectory(measurements) -> None:
     """Append one record to ``BENCH_spill.json`` (perf history artifact)."""
     record = {
         "benchmark": "bench_spill_pipeline",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "scale_mb": scale_mb(3.0),
-        "aggregate_speedup_columnar_vs_rows": round(aggregate, 4),
         "plans": {
             label: {
-                "speedup_columnar_vs_rows": round(
-                    per_drive["rows"]["s"] / per_drive["columnar"]["s"], 4
-                ),
-                "speedup_columnar_vs_tuple": round(
-                    per_drive["tuple"]["s"] / per_drive["columnar"]["s"], 4
-                ),
-                "overflow_events": per_drive["columnar"]["overflow_events"],
-                "tuples_spilled": per_drive["columnar"]["tuples_spilled"],
-                "virtual_ms": round(per_drive["columnar"]["virtual_ms"], 3),
+                "wall_ms": round(m["s"] * 1000, 3),
+                "overflow_events": m["overflow_events"],
+                "tuples_spilled": m["tuples_spilled"],
+                "virtual_ms": round(m["virtual_ms"], 3),
+                "rows_boxed": m["rows_boxed"],
             }
-            for label, per_drive in measurements.items()
+            for label, m in measurements.items()
         },
     }
     history = []
@@ -270,24 +136,8 @@ def append_trajectory(measurements, aggregate: float) -> None:
     TRAJECTORY_PATH.write_text(json.dumps(history, indent=2) + "\n")
 
 
-def test_spill_pipeline_speedup(benchmark, deployment):
-    measurements = run_once(benchmark, lambda: run_workload(deployment))
+def test_spill_pipeline_counters(benchmark, deployment):
+    measurements, problems = run_once(benchmark, lambda: measure(deployment))
     print_report(measurements)
-    assert_drive_parity(measurements)
-
-    total_rows = sum(m["rows"]["s"] for m in measurements.values())
-    total_columnar = sum(m["columnar"]["s"] for m in measurements.values())
-    aggregate = total_rows / total_columnar
-    append_trajectory(measurements, aggregate)
-    if scale_mb(3.0) >= STRICT_SCALE_MB:
-        assert aggregate >= 1.3, (
-            f"columnar spill drive only {aggregate:.2f}x faster than the "
-            f"row-spill baseline across the overflow workload (need >= 1.3x)"
-        )
-    else:
-        # Toy scales measure fixed overheads; the columnar drive must still
-        # never lose to the row-spill baseline.
-        assert aggregate >= 1.0, (
-            f"columnar spill drive regressed below the row-spill baseline "
-            f"({aggregate:.2f}x) even at toy scale"
-        )
+    append_trajectory(measurements)
+    assert not problems, "\n".join(problems)

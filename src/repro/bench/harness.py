@@ -87,8 +87,7 @@ def run_operator_tree(
     result_name: str = "bench_result",
     engine_config: EngineConfig | None = None,
     capture_points: int | None = None,
-    batch_size: int | None = DEFAULT_BATCH_SIZE,
-    columnar: bool | None = None,
+    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> RunResult:
     """Execute one physical operator tree to completion against ``catalog``.
 
@@ -96,52 +95,32 @@ def run_operator_tree(
     plans (exactly what the paper does for the join experiments, which used
     hand-coded query plans for greater control).
 
-    ``batch_size`` and ``columnar`` select among the three drive modes:
-
-    * the default pulls columnar (struct-of-arrays) batches of up to
-      ``batch_size`` rows through the vectorized ``next_batch`` protocol
-      (ramping up from one row so time-to-first-tuple stays exact);
-    * ``columnar=False`` keeps the batch protocol but forces row-backed
-      batches — PR 1's "row-batch" drive, the baseline that
-      ``benchmarks/bench_columnar_pipeline.py`` measures against;
-    * ``batch_size=None`` drives the tree tuple-at-a-time, the
-      pre-vectorization baseline of ``benchmarks/bench_batch_pipeline.py``.
-
-    ``columnar=None`` defers to the engine config (columnar by default).
+    The tree is pulled through ``next_batch`` in batches of up to
+    ``batch_size`` rows, ramping up from one row so time-to-first-tuple
+    stays exact.
     """
     context = ExecutionContext(catalog, config=engine_config, query_name=result_name)
-    if columnar is not None:
-        context.columnar = columnar
     root = build_operator(spec, context)
     root = Materialize(f"{result_name}-mat", context, root, result_name=result_name)
     timeline = TupleTimeline()
     root.open()
     produced = 0
-    if batch_size is None:
-        while True:
-            row = root.next()
-            if row is None:
-                break
+    current = 1
+    last_time = 0.0
+    while True:
+        batch = root.next_batch(current)
+        if not batch:
+            break
+        # Batches carry their virtual arrival stamps, so the tuples-vs-time
+        # series keeps tuple-level resolution (the figures' curves — e.g.
+        # the overflow stall shapes — survive batch-at-a-time driving).
+        # Reading the arrival column directly avoids materializing rows.
+        for arrival in batch.arrivals:
             produced += 1
-            timeline.record(context.clock.now, produced)
-    else:
-        current = 1
-        last_time = 0.0
-        while True:
-            batch = root.next_batch(current)
-            if not batch:
-                break
-            # Batches carry their virtual arrival stamps, so the
-            # tuples-vs-time series keeps tuple-level resolution (the
-            # figures' curves — e.g. the overflow stall shapes — survive
-            # batch-at-a-time driving).  Reading the arrival column directly
-            # avoids materializing rows for columnar batches.
-            for arrival in batch.arrivals:
-                produced += 1
-                if arrival > last_time:
-                    last_time = arrival
-                timeline.record(last_time, produced)
-            current = min(current * 4, batch_size)
+            if arrival > last_time:
+                last_time = arrival
+            timeline.record(last_time, produced)
+        current = min(current * 4, batch_size)
     root.close()
     relation = context.local_store.get(result_name)
     return RunResult(

@@ -8,7 +8,6 @@ can observe dynamic quantities (operator state, cardinalities, memory use).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.catalog.catalog import DataSourceCatalog
@@ -51,14 +50,6 @@ class EngineConfig:
     disk_page_read_ms / disk_page_write_ms:
         Virtual cost of one page of spill I/O.  Benchmarks that study memory
         overflow raise these to model a spinning disk.
-    columnar_batches:
-        When true (the default), batch-producing leaves build columnar
-        (struct-of-arrays) :class:`~repro.storage.batch.Batch` objects and
-        operators with native columnar paths keep data in columns end to
-        end.  When false, batches stay row-backed — the pre-columnar
-        "row-batch" drive, retained as a baseline for the parity tests and
-        ``benchmarks/bench_columnar_pipeline.py``.  Virtual-time accounting
-        is identical either way.
     encoded_columns:
         When true (the default), the storage layer *encodes* columns:
         string attributes dictionary-encode (``array('q')`` codes plus a
@@ -66,11 +57,8 @@ class EngineConfig:
         partitions, and spill chunks; arrival stamps run-length encode
         where blocks share one stamp; and memory budgets / spill files
         charge the encoded footprint (``Schema.encoded_row_size``).
-        Orthogonal to the drive mode: the hash tables and overflow files
-        are encoded (or not) identically under all three drives, so
-        overflow events and spill I/O never depend on the drive.  Disable
-        for the plain-columnar baseline the encoding benchmark measures
-        against.
+        Disable for the plain-columnar baseline the encoding benchmark
+        measures against.
     enable_source_caching:
         When true, fully-read source extents are cached (the paper's
         "caching of source data" extension) and later scans of the same
@@ -128,7 +116,6 @@ class EngineConfig:
     collector_dedup: bool = True
     disk_page_read_ms: float = 0.12
     disk_page_write_ms: float = 0.15
-    columnar_batches: bool = True
     encoded_columns: bool = True
     enable_source_caching: bool = False
     source_cache_max_age_ms: float | None = None
@@ -183,18 +170,13 @@ class ExecutionContext:
         self._deactivated: set[str] = set()
         #: Event keys ``(event_type, subject)`` that some registered rule
         #: triggers on.  Emitting a watched event raises ``batch_interrupt``,
-        #: which tells batch-mode operators to cut their current batch short so
-        #: the executor drains the queue at exactly the point a tuple-at-a-time
-        #: drive would have — rule firing order is preserved under batching.
+        #: which tells operators to cut their current batch short so the
+        #: executor drains the queue right after the tuple that raised the
+        #: event — rule firing order is preserved under batching.
         self.watched_event_keys: set[tuple[EventType, str]] = set()
         self.batch_interrupt = False
-        #: Drive-mode switch for batch-producing leaves: columnar
-        #: (struct-of-arrays) batches when true, row-backed batches when
-        #: false.  Seeded from the config; the bench harness flips it per run
-        #: to compare the two batch drives.
-        self.columnar = self.config.columnar_batches
         #: Column-encoding switch (dictionary strings + run-length arrival
-        #: stamps); orthogonal to the drive mode — see ``EngineConfig``.
+        #: stamps) — see ``EngineConfig``.
         self.encoded_columns = self.config.encoded_columns
 
     def derive_worker(self, label: str) -> "ExecutionContext":
@@ -235,27 +217,8 @@ class ExecutionContext:
         # coordinating context, not inside lanes.
         worker.stats = self.stats
         worker.events = self.events
-        worker.columnar = self.columnar
         worker.encoded_columns = self.encoded_columns
         return worker
-
-    @contextmanager
-    def row_backed_pulls(self):
-        """Temporarily force row-backed batches from leaves.
-
-        Operators that buffer their input as :class:`Row` objects anyway
-        (hash-join build sides, the double pipelined join's runs, the
-        nested-loops inner) wrap their child pulls in this so leaves skip the
-        columnar transpose that ``Batch.rows()`` would immediately undo.
-        Representation only — virtual-clock accounting is identical — and the
-        previous mode is always restored, even on error.
-        """
-        saved = self.columnar
-        self.columnar = False
-        try:
-            yield
-        finally:
-            self.columnar = saved
 
     # -- wrappers ------------------------------------------------------------------
 

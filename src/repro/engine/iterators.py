@@ -1,11 +1,15 @@
 """The iterator model: the runtime operator base class.
 
 Tukwila executes operator trees top-down with the standard iterator (open /
-next / close) protocol.  Operators additionally expose :meth:`peek_arrival` —
-an estimate of the earliest virtual time at which their next tuple could be
-delivered — which is what lets data-driven operators (the double pipelined
-join, the dynamic collector) decide which input to service first, standing in
-for the original engine's per-child threads.
+next / close) protocol.  Here one pipeline moves columnar batches:
+:meth:`Operator.next_batch` pulls up to ``max_rows`` rows,
+:meth:`Operator.next_batch_bounded` only the rows arriving before a bound,
+and :meth:`Operator.next` is a one-row pull of the same path.  Operators
+additionally expose :meth:`peek_arrival` — an estimate of the earliest
+virtual time at which their next tuple could be delivered — which is what
+lets data-driven operators (the double pipelined join, the dynamic
+collector) decide which input to service first, standing in for the
+original engine's per-child threads.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ DEFAULT_BATCH_SIZE = 256
 class Operator:
     """Base class for all runtime operators.
 
-    Subclasses implement :meth:`_do_open`, :meth:`_next` and optionally
-    :meth:`_do_close` and :meth:`peek_arrival`.  The base class maintains
-    state, statistics, and event emission.
+    Subclasses implement :meth:`_next_batch` (the one pull hook) and
+    optionally :meth:`_do_open`, :meth:`_do_close` and :meth:`peek_arrival`.
+    The base class maintains state, statistics, the per-tuple CPU charge and
+    event emission.
     """
 
     #: Multiplier on the per-tuple CPU charge for this operator's output.
@@ -72,18 +77,15 @@ class Operator:
         self.context.emit_event(EventType.OPENED, self.operator_id)
 
     def next(self) -> Row | None:
-        """Produce the next output row, or ``None`` at end of stream."""
-        if self.state == "pending":
-            raise ExecutionError(f"operator {self.operator_id!r} used before open()")
-        if self.state in ("closed", "deactivated"):
+        """Produce the next output row, or ``None`` at end of stream.
+
+        A one-row :meth:`next_batch`: the row is pulled, charged and counted
+        exactly like any batch.
+        """
+        batch = self.next_batch(1)
+        if not batch:
             return None
-        row = self._next()
-        if row is not None:
-            self.context.clock.consume_cpu(
-                self.context.config.per_tuple_cpu_ms * self.PER_TUPLE_CPU_FACTOR
-            )
-            self._stats.record_output(self.context.clock.now)
-        return row
+        return batch[0]
 
     def next_batch(self, max_rows: int = DEFAULT_BATCH_SIZE) -> Batch:
         """Produce up to ``max_rows`` output rows as a :class:`Batch`.
@@ -92,21 +94,31 @@ class Operator:
 
         * A non-empty batch may hold fewer than ``max_rows`` rows (operators
           cut batches short when a watched event fires, so the executor can
-          run rules at exactly the tuple-at-a-time firing point).
+          run rules at exactly the tuple that raised the event).
         * An empty (falsy) batch is only returned at end of stream —
           operators keep pulling until they have at least one row or their
-          input is done, mirroring :meth:`next`, which blocks until a row or
-          ``None``.
-        * The batch may be column-backed (native columnar paths) or
-          row-backed (tuple-driven operators, the generic fallback); either
-          converts to the other lazily, so consumers dispatch on
-          :attr:`Batch.is_columnar` when they have a vectorized path and
-          call :meth:`Batch.rows` otherwise.
+          input is done.
+        * Consumers read :attr:`Batch.columns`; a batch built from rows (a
+          watched or cache-fed scan) transposes on first access.
 
-        The default implementation loops :meth:`_next`; hot operators override
-        :meth:`_next_batch` with native vectorized paths.  Per-tuple CPU and
-        statistics are charged once per batch with identical totals.
+        Per-tuple CPU and statistics are charged once per batch.
         """
+        return self._charged_pull(max_rows, None)
+
+    def next_batch_bounded(self, max_rows: int, arrival_bound: float) -> Batch:
+        """Produce up to ``max_rows`` rows arriving strictly before ``arrival_bound``.
+
+        Used by data-driven consumers (the double pipelined join, the
+        dynamic collector) to consume a *run* of tuples from one input in
+        bulk: every row returned would also have been consumed back to back
+        one at a time, because no other input could deliver anything
+        earlier.  May return an empty :class:`Batch` when the next row
+        arrives at or after the bound — that is not end of stream; callers
+        then take a one-row :meth:`next_batch` step (the tie-break case).
+        """
+        return self._charged_pull(max_rows, arrival_bound)
+
+    def _charged_pull(self, max_rows: int, arrival_bound: float | None) -> Batch:
         if self.state == "pending":
             raise ExecutionError(f"operator {self.operator_id!r} used before open()")
         if self.state in ("closed", "deactivated"):
@@ -115,38 +127,11 @@ class Operator:
             raise ExecutionError(f"batch size must be positive, got {max_rows}")
         clock = self.context.clock
         wait_before = clock.stats.wait_ms
-        batch = self._next_batch(max_rows)
+        batch = self._next_batch(max_rows, arrival_bound)
         if batch:
             # Charge the batch's per-tuple CPU as overlapped with the waiting
-            # that accrued while the batch streamed in — the accounting a
-            # tuple-at-a-time drive produces by interleaving the same charges
-            # between arrival waits.
-            clock.consume_cpu_overlapped(
-                len(batch) * self.context.config.per_tuple_cpu_ms * self.PER_TUPLE_CPU_FACTOR,
-                max(0.0, clock.stats.wait_ms - wait_before),
-            )
-            self._stats.record_output_batch(len(batch), clock.now)
-        return batch
-
-    def next_batch_bounded(self, max_rows: int, arrival_bound: float) -> Batch:
-        """Produce up to ``max_rows`` rows arriving strictly before ``arrival_bound``.
-
-        Used by data-driven consumers (the double pipelined join) to consume a
-        *run* of tuples from one input in bulk: every row returned would also
-        have been consumed consecutively by a tuple-at-a-time drive, because
-        no other input could deliver anything earlier.  May return an empty
-        :class:`Batch` when the next row arrives at or after the bound — that
-        is not end of stream; callers fall back to a single :meth:`next` step
-        (the tie-break case).
-        """
-        if self.state == "pending":
-            raise ExecutionError(f"operator {self.operator_id!r} used before open()")
-        if self.state in ("closed", "deactivated"):
-            return Batch.empty(self.output_schema)
-        clock = self.context.clock
-        wait_before = clock.stats.wait_ms
-        batch = self._next_batch_bounded(max_rows, arrival_bound)
-        if batch:
+            # that accrued while the batch streamed in: one row's CPU hides
+            # inside the wait before the next row's arrival.
             clock.consume_cpu_overlapped(
                 len(batch) * self.context.config.per_tuple_cpu_ms * self.PER_TUPLE_CPU_FACTOR,
                 max(0.0, clock.stats.wait_ms - wait_before),
@@ -210,51 +195,46 @@ class Operator:
     def _do_open(self) -> None:
         """Subclass hook: acquire resources."""
 
-    def _next(self) -> Row | None:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None) -> Batch:
+        """Subclass hook: up to ``max_rows`` rows (empty = end of stream).
+
+        With an ``arrival_bound``, only rows arriving strictly before it; an
+        empty batch may then just mean the bound was reached.
+        """
         raise NotImplementedError
 
-    def _next_batch(self, max_rows: int) -> Batch:
-        """Subclass hook: produce up to ``max_rows`` rows (empty = end of stream).
+    def _next_rows_before(self, max_rows: int, arrival_bound: float) -> Batch:
+        """Bounded pull for operators that cannot see past their next row.
 
-        The fallback loops the tuple-at-a-time hook into a row-backed
-        :class:`Batch`, stopping early when a watched event interrupts the
-        batch (but never returning an empty batch unless the stream is
-        exhausted).
+        Takes one-row steps of :meth:`_next_batch` while :meth:`peek_arrival`
+        stays before the bound, stopping early when a watched event
+        interrupts the batch.
         """
         context = self.context
-        rows: list[Row] = []
-        while len(rows) < max_rows:
-            row = self._next()
-            if row is None:
-                break
-            rows.append(row)
-            if context.batch_interrupt:
-                break
-        return Batch.from_rows(rows[0].schema if rows else self.output_schema, rows)
-
-    def _next_batch_bounded(self, max_rows: int, arrival_bound: float) -> Batch:
-        """Subclass hook for :meth:`next_batch_bounded`.
-
-        The fallback re-checks :meth:`peek_arrival` before every pull, so it
-        is exact for any operator; leaf scans override it with a direct loop
-        over their source's arrival sequence.
-        """
-        context = self.context
-        rows: list[Row] = []
-        while len(rows) < max_rows:
+        parts: list[Batch] = []
+        count = 0
+        while count < max_rows:
             arrival = self.peek_arrival()
             if arrival is None or arrival >= arrival_bound:
                 break
-            row = self._next()
-            if row is None:
+            part = self._next_batch(1, None)
+            if not part:
                 break
-            rows.append(row)
+            parts.append(part)
+            count += len(part)
             if context.batch_interrupt:
                 break
-        return Batch.from_rows(rows[0].schema if rows else self.output_schema, rows)
+        return Batch.concat(self.output_schema, parts)
 
     def _do_close(self) -> None:
         """Subclass hook: release resources."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.operator_id!r}, state={self.state!r})"
+
+
+def pull(child: Operator, max_rows: int, arrival_bound: float | None) -> Batch:
+    """``child.next_batch`` or, under an arrival bound, ``child.next_batch_bounded``."""
+    if arrival_bound is None:
+        return child.next_batch(max_rows)
+    return child.next_batch_bounded(max_rows, arrival_bound)

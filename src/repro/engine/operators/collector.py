@@ -328,50 +328,23 @@ class DynamicCollector(Operator):
                 best_id, best_arrival = child_id, arrival
         return best_id
 
-    def _next(self) -> Row | None:
-        schema = self.output_schema
-        while True:
-            child_id = self._pick_child()
-            if child_id is None:
-                return None
-            child = self._child_by_id[child_id]
-            try:
-                row = child.next()
-            except (SourceTimeoutError, SourceUnavailableError):
-                self._handle_child_failure(child_id)
-                continue
-            if row is None:
-                self._active.remove(child_id)
-                self._finished.add(child_id)
-                continue
-            self.tuples_per_child[child_id] += 1
-            self.context.emit_event(
-                EventType.THRESHOLD, child_id, value=self.tuples_per_child[child_id]
-            )
-            if self.dedup_keys is not None:
-                key = row.key(self.dedup_keys)
-                if key in self._seen_keys or (
-                    self._spilled_key_count and self._spilled_hits((key,))
-                ):
-                    continue
-                self._seen_keys.add(key)
-                self._reserve_dedup_keys(1)
-            return Row(schema, row.values, row.arrival)
-
-    def _next_batch(self, max_rows: int) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None) -> Batch:
         """Batch iteration: bounded child runs with columnar deduplication.
 
-        Which input to service next is still the collector's data-driven
-        policy, but consecutive tuples of the chosen child are consumed as
-        one *bounded run* — every row arriving strictly before the next-best
-        child's arrival, exactly the rows a tuple-at-a-time drive would have
-        pulled back to back.  Dedup keys are then extracted from the run's
-        column slices in bulk and fresh rows kept with one index-take — no
-        :class:`~repro.storage.tuples.Row` is boxed per tuple to call
-        ``row.key``.  When a rule watches any child's THRESHOLD events the
-        per-tuple path runs instead, so per-tuple events (and the rule
-        actions they trigger) land at the tuple-accurate cut points.
+        Which input to service next is the collector's data-driven policy
+        (earliest next arrival), and consecutive tuples of the chosen child
+        are consumed as one *bounded run* — every row arriving strictly
+        before the next-best child's arrival, exactly the rows that would be
+        pulled back to back one at a time.  Dedup keys are then extracted
+        from the run's column slices in bulk and fresh rows kept with one
+        index-take — no :class:`~repro.storage.tuples.Row` is boxed per
+        tuple to call ``row.key``.  When a rule watches any child's
+        THRESHOLD events the per-tuple path runs instead, so per-tuple
+        events (and the rule actions they trigger) land at the tuple-accurate
+        cut points.
         """
+        if arrival_bound is not None:
+            return self._next_rows_before(max_rows, arrival_bound)
         context = self.context
         if any(
             context.event_watched(EventType.THRESHOLD, child.operator_id)
@@ -391,13 +364,12 @@ class DynamicCollector(Operator):
                 run = child.next_batch_bounded(max_rows - count, bound)
                 if not run:
                     # Bound reached with nothing buffered (the tie case) or
-                    # end of stream: take one exact per-tuple step.
-                    row = child.next()
-                    if row is None:
+                    # end of stream: take one exact one-row step.
+                    run = child.next_batch(1)
+                    if not run:
                         self._active.remove(child_id)
                         self._finished.add(child_id)
                         continue
-                    run = Batch.from_rows(child.output_schema, [row])
             except (SourceTimeoutError, SourceUnavailableError):
                 self._handle_child_failure(child_id)
                 continue
@@ -458,11 +430,11 @@ class DynamicCollector(Operator):
     def _next_batch_tuplewise(self, max_rows: int) -> Batch:
         """Per-row child selection with tuple-accurate THRESHOLD events.
 
-        The pre-columnar batch path, kept for plans whose rules watch child
-        thresholds: the batch is cut short as soon as a watched event fires
-        so rule actions (activate/deactivate) take effect at the exact
-        tuple.  The output batch is row-backed (rows are created here
-        regardless); downstream columnar operators convert lazily.
+        Serves plans whose rules watch child thresholds: the batch is cut
+        short as soon as a watched event fires so rule actions
+        (activate/deactivate) take effect at the exact tuple.  The output
+        batch is row-backed (rows are created here regardless); consumers
+        transpose it when they read its columns.
         """
         schema = self.output_schema
         context = self.context

@@ -6,7 +6,7 @@ from repro.engine.context import ExecutionContext
 from repro.engine.iterators import Operator
 from repro.errors import PlanError
 from repro.storage.schema import Schema
-from repro.storage.tuples import KeyBinder, Row
+from repro.storage.tuples import KeyBinder
 
 
 class JoinOperator(Operator):
@@ -55,16 +55,6 @@ class JoinOperator(Operator):
         if self._schema is None:
             self._schema = self.left.output_schema.join(self.right.output_schema)
         return self._schema
-
-    def join_rows(self, left_row: Row, right_row: Row) -> Row:
-        """Concatenate a matching pair in left-then-right attribute order."""
-        return left_row.concat(right_row, self.output_schema)
-
-    def left_key(self, row: Row):
-        return self._left_binder.key(row)
-
-    def right_key(self, row: Row):
-        return self._right_binder.key(row)
 
     def _charge_disk_time(self) -> None:
         """Convert disk page I/O performed since the last call into virtual time."""

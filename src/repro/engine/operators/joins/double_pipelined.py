@@ -23,15 +23,16 @@ was flushed are written *marked* and are not probed live.  During the final
 overflow resolution, every pair is emitted except unmarked-with-unmarked —
 those pairs were already produced while both tuples were resident.
 
-Both hash tables store columnar partitions in every drive mode.  Under the
-columnar drive the whole pipeline is positional: input runs arrive as
-struct-of-arrays batches and are processed in bulk segments (each probes
-the opposite table once, inserts once, and emits its matches straight into
-output columns), spills move column values, and the final overflow
-resolution joins spill chunks positionally — no :class:`Row` boxing
-anywhere.  The row-batch and tuple drives feed the same tables row by row
-(the row-spill baseline).
+Both hash tables store columnar partitions and the whole pipeline is
+positional: input runs arrive as batches and are processed in bulk segments
+(each probes the opposite table once, inserts once, and emits its matches
+straight into output columns), spills move column values, and the final
+overflow resolution joins spill chunks positionally — no :class:`Row`
+boxing anywhere.  A one-row step (the tie-break) is a one-row run through
+the same segment path.
 """
+
+# repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
 
 from __future__ import annotations
 
@@ -54,7 +55,6 @@ from repro.storage.columns import (
 )
 from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, bucket_of
 from repro.storage.memory import MemoryBudget
-from repro.storage.tuples import Row
 
 #: Side identifiers (also used as indices into per-side lists).
 LEFT, RIGHT = 0, 1
@@ -73,9 +73,8 @@ RUN_SLACK_MS = 5.0
 class _Run:
     """One consumed input run: a batch plus its bulk-extracted join keys.
 
-    ``arrivals`` is the columnar run's arrival column as a plain sequence
-    (``None`` for row-backed runs), so segments read stamps by C-level
-    subscripts.
+    ``arrivals`` is the run's arrival column as a plain sequence, so
+    segments read stamps by C-level subscripts.
     """
 
     __slots__ = ("batch", "keys", "arrivals", "cursor")
@@ -83,7 +82,7 @@ class _Run:
     def __init__(self, batch: Batch, keys: list[tuple[Any, ...]]) -> None:
         self.batch = batch
         self.keys = keys
-        self.arrivals = as_values(batch.arrivals) if batch.is_columnar else None
+        self.arrivals = as_values(batch.arrivals)
         self.cursor = 0
 
 
@@ -184,16 +183,12 @@ class DoublePipelinedJoin(JoinOperator):
         self._tables: list[BucketedHashTable] = []
         self._exhausted = [False, False]
         self._drain_right_first = False
-        self._pending: list[Row] = []
-        self._cleanup: Iterator[Row] | None = None
         self._cleanup_batches: Iterator[Batch] | None = None
-        # Batch path only: per-side run buffers (rows already consumed from a
-        # child in bulk because they all arrive before the other side's next).
-        # Join keys are bulk-extracted from the run's key columns; the run
-        # batch itself stays in whatever representation the child produced.
+        # Per-side run buffers: rows already consumed from a child in bulk
+        # because they all arrive before the other side's next, with their
+        # join keys bulk-extracted from the run's key columns.
         self._runs: list[_Run | None] = [None, None]
         self._out: _OutputColumns | None = None
-        self._popped_key: tuple[Any, ...] | None = None
         self._emitted_output = False
         self.overflow_count = 0
 
@@ -248,9 +243,8 @@ class DoublePipelinedJoin(JoinOperator):
         """Pick which input to consume next, or ``None`` when both are done.
 
         Arrivals are taken from the run buffers first (see
-        :meth:`_pull_buffered`); with empty buffers — always the case under a
-        pure tuple-at-a-time drive — this is the plain data-driven choice over
-        the children's ``peek_arrival``.
+        :meth:`_peek_side`); with empty buffers this is the plain data-driven
+        choice over the children's ``peek_arrival``.
         """
         if self._exhausted[LEFT] and self._exhausted[RIGHT]:
             return None
@@ -288,7 +282,7 @@ class DoublePipelinedJoin(JoinOperator):
         if self.state in ("closed", "deactivated"):
             return None
         now = self.context.clock.now
-        if self._pending or self._cleanup is not None or self._cleanup_batches is not None:
+        if self._cleanup_batches is not None:
             return now
         out = self._out
         if out is not None and out.arrivals:
@@ -305,7 +299,7 @@ class DoublePipelinedJoin(JoinOperator):
             return now
         return min(arrivals)
 
-    # -- batch-path input runs -----------------------------------------------------------------------
+    # -- input runs -----------------------------------------------------------------------
 
     def _side_has_buffer(self, side: int) -> bool:
         run = self._runs[side]
@@ -318,37 +312,20 @@ class DoublePipelinedJoin(JoinOperator):
             return run.batch.arrivals[run.cursor]
         return self._child(side).peek_arrival()
 
-    def _pop_buffered(self, side: int) -> Row | None:
-        """Next already-buffered row of ``side``, or ``None`` when none is held.
-
-        Sets :attr:`_popped_key` to the row's precomputed join key (``None``
-        when nothing was buffered — the caller computes it).
-        """
-        run = self._runs[side]
-        if run is None or run.cursor >= len(run.batch):
-            self._popped_key = None
-            return None
-        cursor = run.cursor
-        run.cursor = cursor + 1
-        self._popped_key = run.keys[cursor]
-        return run.batch[cursor]
-
     def _pull_run(self, side: int) -> _Run | None:
         """Consume the next bulk run of ``side``; ``None`` when the run is empty.
 
         A *run* consumes every row arriving before the other side's next
         arrival plus a small lookahead window (:data:`RUN_SLACK_MS`) — the
         rows the original engine's per-child reader thread would have had
-        queued.  The run batch keeps the representation the child produced:
-        columnar runs drive the positional pipeline, row-backed runs the
-        row-at-a-time one.
+        queued.
         """
         other = 1 - side
         if self._exhausted[other] or (side == RIGHT and self._drain_right_first):
             # No interleaving constraint: the other side is done, or paused by
-            # Incremental Left Flush — the tuple drive consumes this side
-            # back to back regardless of the other side's arrivals, so an
-            # unbounded run matches its consumption order exactly.
+            # Incremental Left Flush — this side is consumed back to back
+            # regardless of the other side's arrivals, so an unbounded run
+            # matches the one-row consumption order exactly.
             bound = float("inf")
         else:
             other_arrival = self._peek_side(other)
@@ -358,103 +335,27 @@ class DoublePipelinedJoin(JoinOperator):
                 bound = other_arrival + RUN_SLACK_MS
             else:
                 # Before the first output the lookahead window stays closed so
-                # time-to-first-tuple matches the tuple-at-a-time drive exactly
+                # time-to-first-tuple is that of one-row consumption exactly
                 # (the paper's headline DPJ metric).
                 bound = other_arrival
-        run_batch = self._child(side).next_batch_bounded(RUN_LENGTH, bound)
-        if not run_batch:
+        return self._buffer_run(side, self._child(side).next_batch_bounded(RUN_LENGTH, bound))
+
+    def _buffer_run(self, side: int, batch: Batch) -> _Run | None:
+        """Hold ``batch`` as ``side``'s run; ``None`` when it is empty."""
+        if not batch:
             return None
         binder = self._left_binder if side == LEFT else self._right_binder
-        keys = run_batch.key_tuples(binder.indices_in(run_batch.schema))
-        run = _Run(run_batch, keys)
+        run = _Run(batch, batch.key_tuples(binder.indices_in(batch.schema)))
         self._runs[side] = run
         return run
 
-    # -- tuple processing ----------------------------------------------------------------------------
+    # -- run processing ----------------------------------------------------------------------------
 
     def _bucket_spilled(self, index: int) -> bool:
         return self._tables[LEFT].buckets[index].flushed or self._tables[RIGHT].buckets[index].flushed
 
-    def _spill_arriving(self, side: int, index: int, row: Row, marked: bool = True) -> None:
-        """Send an arriving tuple straight to its side's overflow file.
-
-        ``marked=True`` records that the tuple never probed the opposite
-        side's resident rows (it arrived after the bucket spilled); the final
-        overflow resolution joins marked tuples against everything.  A tuple
-        that *did* probe before its bucket spilled is written unmarked so its
-        already-emitted pairs are not produced again.
-        """
-        table = self._tables[side]
-        bucket = table.buckets[index]
-        table._ensure_overflow(bucket).write(row, marked=marked)
-        self._charge_disk_time()
-
-    def _process(self, side: int, row: Row, key: tuple[Any, ...] | None = None) -> None:
-        """Probe, emit, and insert one arriving tuple (key may be precomputed).
-
-        The row-at-a-time pipeline, serving the tuple drive and row-backed
-        runs; matches are boxed into output rows on :attr:`_pending`.
-        """
-        other = 1 - side
-        if key is None:
-            key = self.left_key(row) if side == LEFT else self.right_key(row)
-        index = bucket_of(key, self.bucket_count)
-        tables = self._tables
-        if tables[LEFT].buckets[index].flushed or tables[RIGHT].buckets[index].flushed:
-            self._spill_arriving(side, index, row)
-            return
-        # Probe the opposite side's resident rows (both tables share the
-        # bucket count, so the bucket index computed above is reusable).
-        other_bucket = tables[other].buckets[index]
-        partition = other_bucket.partition
-        matches = partition.positions.get(key) if partition is not None else None
-        if matches:
-            self._emitted_output = True
-            schema = self.output_schema
-            pending = self._pending
-            values = row.values
-            arrival = row.arrival
-            arrivals = partition.arrivals
-            value_tuple = partition.value_tuple
-            make = Row.make
-            for position in matches:
-                match_values = value_tuple(position)
-                joined_values = (
-                    values + match_values if side == LEFT else match_values + values
-                )
-                match_arrival = arrivals[position]
-                pending.append(
-                    make(
-                        schema,
-                        joined_values,
-                        arrival if arrival >= match_arrival else match_arrival,
-                    )
-                )
-        # Once the opposite input is exhausted there is no need to retain this
-        # tuple (footnote 3 of the paper) unless its bucket later spills —
-        # which cannot affect it because all of its matches were resident.
-        if self._exhausted[other]:
-            return
-        self._insert_with_overflow(side, row, key, index)
-
-    def _insert_with_overflow(
-        self, side: int, row: Row, key: tuple[Any, ...], index: int
-    ) -> None:
-        table = self._tables[side]
-        while True:
-            if table.buckets[index].flushed:
-                # The overflow strategy spilled this row's bucket while we were
-                # trying to insert it.  The row has already probed the opposite
-                # side's resident rows, so it spills unmarked — exactly like
-                # the resident rows that were just flushed alongside it.
-                self._spill_arriving(side, index, row, marked=False)
-                return
-            if table.insert(row, key=key):
-                return
-            self._resolve_overflow()
-
     def _process_segment(self, side: int, run: _Run, room: int) -> None:
-        """Probe, emit, and insert one *segment* of a columnar run in bulk.
+        """Probe, emit, and insert one *segment* of a run in bulk.
 
         A segment is a prefix of the run's unprocessed rows that a per-tuple
         pipeline would process back to back without the clock moving.  It
@@ -537,8 +438,10 @@ class DoublePipelinedJoin(JoinOperator):
         while True:
             self._resolve_overflow()
             if table.buckets[index].flushed:
-                # Spilled by the overflow strategy mid-insert: unmarked, as in
-                # :meth:`_insert_with_overflow`.
+                # The overflow strategy spilled this row's bucket while we
+                # were trying to insert it.  The row already probed the
+                # opposite side's resident rows, so it spills unmarked —
+                # exactly like the resident rows flushed alongside it.
                 table.spill_position(index, columns, refused, arrival, marked=False)
                 self._charge_disk_time()
                 return
@@ -719,139 +622,34 @@ class DoublePipelinedJoin(JoinOperator):
             if out_arrivals:
                 yield Batch.from_columns(schema, out_columns, out_arrivals)
 
-    def _cleanup_pairs(self) -> Iterator[Row]:
-        """Row-at-a-time overflow resolution (tuple and row-batch drives).
-
-        Same pair discipline and identical I/O accounting as
-        :meth:`_cleanup_batches_iter`, but every spilled tuple read back from
-        disk is boxed into a :class:`Row` and joined tuple-at-a-time — the
-        re-boxing cost that makes this the *row-spill baseline* the spill
-        benchmark measures the columnar resolution against.
-        """
-        for index in range(self.bucket_count):
-            left_bucket = self._tables[LEFT].buckets[index]
-            right_bucket = self._tables[RIGHT].buckets[index]
-            has_disk = (
-                left_bucket.overflow is not None and len(left_bucket.overflow) > 0
-            ) or (right_bucket.overflow is not None and len(right_bucket.overflow) > 0)
-            if not has_disk:
-                continue
-            left_entries: list[tuple[Row, bool]] = []
-            right_entries: list[tuple[Row, bool]] = []
-            if left_bucket.overflow is not None:
-                left_entries.extend(left_bucket.overflow.read())
-            if right_bucket.overflow is not None:
-                right_entries.extend(right_bucket.overflow.read())
-            self._charge_disk_time()
-            # Resident remnants participate as unmarked entries (no read cost).
-            if left_bucket.partition is not None:
-                left_entries.extend((row, False) for row in left_bucket.partition.rows())
-            if right_bucket.partition is not None:
-                right_entries.extend(
-                    (row, False) for row in right_bucket.partition.rows()
-                )
-            right_by_key: dict[tuple[Any, ...], list[tuple[Row, bool]]] = {}
-            for row, marked in right_entries:
-                right_by_key.setdefault(self.right_key(row), []).append((row, marked))
-            for left_row, left_marked in left_entries:
-                for right_row, right_marked in right_by_key.get(
-                    self.left_key(left_row), ()
-                ):
-                    if not left_marked and not right_marked:
-                        continue  # both were resident when they met: already emitted
-                    yield self.join_rows(left_row, right_row)
-
     # -- iterator -------------------------------------------------------------------------------------------------
 
-    def _next(self) -> Row | None:
-        while True:
-            if self._pending:
-                return self._pending.pop(0)
-            out = self._out
-            if out is not None and len(out):
-                batch = out.take_batch(self.output_schema, 1)
-                return batch[0]
-            if self._cleanup_batches is not None:
-                # A batch caller started the columnar cleanup; keep draining it.
-                batch = next(self._cleanup_batches, None)
-                if batch is None:
-                    return None
-                self._pending.extend(batch.rows())
-                continue
-            if self._cleanup is not None:
-                row = next(self._cleanup, None)
-                if row is None:
-                    return None
-                return row
-            side = self._choose_side()
-            if side is None:
-                self._cleanup = self._cleanup_pairs()
-                continue
-            row = self._pop_buffered(side)
-            key = self._popped_key
-            if row is None:
-                row = self._child(side).next()
-            if row is None:
-                self._exhausted[side] = True
-                if side == RIGHT and self._drain_right_first:
-                    # Right side drained: resume reading the paused left input.
-                    self._drain_right_first = False
-                continue
-            self._process(side, row, key)
-
-    def _next_batch(self, max_rows: int) -> Batch:
-        return self._produce_batch(max_rows, None)
-
-    def _next_batch_bounded(self, max_rows: int, arrival_bound: float) -> Batch:
-        # Mirrors the generic bounded fallback (whose per-pull check is
-        # ``peek_arrival() < bound``, and an open join's peek is "now") while
-        # keeping the run-buffer machinery engaged for this join's own inputs.
-        return self._produce_batch(max_rows, arrival_bound)
-
-    def _produce_batch(self, max_rows: int, arrival_bound: float | None) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None) -> Batch:
         """Batch iteration around the symmetric per-tuple pipeline.
 
         Inputs are consumed in arrival-ordered *runs* (see
         :meth:`_pull_run`): which side to service next is still decided by
         arrival, and every arriving tuple still probes before the next is
         consumed, but consecutive same-side tuples are pulled in bulk with
-        their join keys extracted from the run's key columns.  Columnar runs
-        are processed a segment at a time (:meth:`_process_segment`), which
-        accumulates output directly into column lists; row-backed runs go
-        through the row pipeline.  The batch is cut short when a watched
-        event (e.g. ``out_of_memory`` with an overflow-method rule attached)
-        fires, so rule actions land at the tuple-accurate point.
+        their join keys extracted from the run's key columns.  Runs are
+        processed a segment at a time (:meth:`_process_segment`), which
+        accumulates output directly into column lists.  The batch is cut
+        short when a watched event (e.g. ``out_of_memory`` with an
+        overflow-method rule attached) fires, so rule actions land at the
+        tuple-accurate point.  Under an ``arrival_bound`` (this join feeding
+        another data-driven operator) it stops once the clock reaches the
+        bound, as a join that is ready "now" has nothing arriving later.
         """
         context = self.context
         clock = context.clock
-        schema = self.output_schema
         out = self._out
-        parts: list[Batch] = []
-        count = 0
-        # Rows emitted into ``out`` (and leftovers on ``_pending``) count
-        # toward the batch but are only sliced into an actual Batch once, on
-        # the way out — draining them eagerly would shred the output into
-        # per-row parts and pay a concat per column per row.
-        while count + len(out) < max_rows:
+        # Rows emitted into ``out`` count toward the batch but are only sliced
+        # into an actual Batch once, on the way out — draining them eagerly
+        # would shred the output into per-row parts and pay a concat per
+        # column per row.
+        while len(out) < max_rows:
             if arrival_bound is not None and clock.now >= arrival_bound:
                 break
-            if self._pending:
-                # Leftovers from a tuple-at-a-time caller on the same
-                # operator: flush any columnar output first to keep order.
-                if len(out):
-                    part = out.take_batch(schema, max_rows - count)
-                    parts.append(part)
-                    count += len(part)
-                    if count >= max_rows:
-                        break
-                needed = max_rows - count
-                rows = self._pending[:needed]
-                del self._pending[:needed]
-                parts.append(Batch.from_rows(schema, rows))
-                count += len(rows)
-                if context.batch_interrupt:
-                    break
-                continue
             if self._cleanup_batches is not None:
                 batch = next(self._cleanup_batches, None)
                 if batch is None:
@@ -861,62 +659,36 @@ class DoublePipelinedJoin(JoinOperator):
                     extend_column(out.columns, position, column, base)
                 out.arrivals.extend(batch.arrivals)
                 continue
-            if self._cleanup is not None:
-                # A tuple-at-a-time caller already started the row-based
-                # cleanup; keep draining it row by row.
-                row = next(self._cleanup, None)
-                if row is None:
-                    break
-                self._pending.append(row)
-                continue
             side = self._choose_side()
             if side is None:
-                if context.columnar:
-                    self._cleanup_batches = self._cleanup_batches_iter()
-                else:
-                    self._cleanup = self._cleanup_pairs()
+                self._cleanup_batches = self._cleanup_batches_iter()
                 continue
             run = self._runs[side]
             if run is None or run.cursor >= len(run.batch):
                 run = self._pull_run(side)
                 if run is None:
-                    row = self._child(side).next()
-                    if row is None:
+                    # Nothing arrives before the bound (a tie) or the input
+                    # ended: take a one-row step.
+                    run = self._buffer_run(side, self._child(side).next_batch(1))
+                    if run is None:
                         self._exhausted[side] = True
                         if side == RIGHT and self._drain_right_first:
                             # Right side drained: resume the paused left input.
                             self._drain_right_first = False
                         continue
-                    self._process(side, row, None)
-                    if context.batch_interrupt and (count or len(out)) and not self._pending:
-                        break
-                    continue
-            if run.arrivals is not None:
-                # The rows a segment may emit before this loop would stop:
-                # a watched event stops it at the first output row, and a
-                # bound the clock passed while pulling the run stops it
-                # after one row.
-                if arrival_bound is not None and clock.now >= arrival_bound:
-                    room = 0
-                else:
-                    room = (1 if context.batch_interrupt else max_rows) - count - len(out)
-                self._process_segment(side, run, room)
+            # The rows a segment may emit before this loop would stop: a
+            # watched event stops it at the first output row, and a bound the
+            # clock passed while pulling the run stops it after one row.
+            if arrival_bound is not None and clock.now >= arrival_bound:
+                room = 0
             else:
-                position = run.cursor
-                run.cursor = position + 1
-                self._process(side, run.batch[position], run.keys[position])
+                room = (1 if context.batch_interrupt else max_rows) - len(out)
+            self._process_segment(side, run, room)
             # Cut the batch at a watched event — but only once some output is
-            # actually collectable; rows sitting on ``_pending`` are moved
-            # into the batch by the next loop iteration first (an empty
-            # return here would read as a spurious end-of-stream).
-            if context.batch_interrupt and (count or len(out)) and not self._pending:
+            # actually collectable (an empty return here would read as a
+            # spurious end-of-stream).
+            if context.batch_interrupt and len(out):
                 break
-        if len(out) and count < max_rows:
-            part = out.take_batch(schema, max_rows - count)
-            parts.append(part)
-            count += len(part)
-        if not parts:
-            return Batch.empty(schema)
-        if len(parts) == 1:
-            return parts[0]
-        return Batch.concat(schema, parts)
+        if not len(out):
+            return Batch.empty(self.output_schema)
+        return out.take_batch(self.output_schema, max_rows)

@@ -6,26 +6,24 @@ allotment, buckets are lazily flushed to disk (hybrid hashing); probe tuples
 that hash to a flushed bucket are spilled to matching outer overflow files,
 and the overflow pairs are joined in a final pass.
 
-The hash table stores columnar partitions in every drive mode; what changes
-with the drive is how data reaches and leaves it.  Under the columnar drive
-builds append column slices from batch columns, probes return gathered match
-columns, outer tuples of flushed buckets spill as column gathers, and the
-final overflow pass joins spill chunks positionally — no :class:`Row`
-objects anywhere on those paths.  Under the row-batch and tuple drives the
-same machinery is fed row by row (boxing at the boundary), which is the
-row-spill baseline the spill benchmark measures against.
+The hash table stores columnar partitions: builds append column slices from
+batch columns, probes return gathered match columns, outer tuples of flushed
+buckets spill as column gathers, and the final overflow pass joins spill
+chunks positionally — no :class:`Row` objects anywhere on those paths.
 
 Because the build phase must consume the *entire* inner input before the
 first output tuple, this operator exhibits exactly the delayed
 time-to-first-tuple the paper contrasts with the double pipelined join.
 """
 
+# repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
+
 from __future__ import annotations
 
 from typing import Any, Iterator
 
 from repro.engine.context import ExecutionContext
-from repro.engine.iterators import DEFAULT_BATCH_SIZE, Operator
+from repro.engine.iterators import DEFAULT_BATCH_SIZE, Operator, pull
 from repro.engine.operators.joins.base import JoinOperator
 from repro.plan.rules import EventType
 from repro.storage.batch import Batch, BatchCursor, gather_join_columns
@@ -33,7 +31,6 @@ from repro.storage.columns import as_values
 from repro.storage.disk import OverflowFile
 from repro.storage.hash_table import BucketedHashTable, DEFAULT_BUCKET_COUNT, bucket_of
 from repro.storage.memory import MemoryBudget
-from repro.storage.tuples import Row
 
 
 class HybridHashJoin(JoinOperator):
@@ -60,9 +57,7 @@ class HybridHashJoin(JoinOperator):
         self._inner_table: BucketedHashTable | None = None
         self._outer_overflow: dict[int, OverflowFile] = {}
         self._built = False
-        self._probe_matches: list[Row] = []
         self._pending_out: BatchCursor | None = None
-        self._overflow_output: Iterator[Row] | None = None
         self._overflow_batches: Iterator[Batch] | None = None
 
     # -- build phase --------------------------------------------------------------------
@@ -78,33 +73,13 @@ class HybridHashJoin(JoinOperator):
             encoded=self.context.encoded_columns,
         )
 
-    def _build_inner(self) -> None:
-        assert self._inner_table is not None
-        while True:
-            row = self.right.next()
-            if row is None:
-                break
-            inserted = self._inner_table.insert(row)
-            if not inserted and not self._inner_table.is_bucket_flushed_for(
-                self._inner_table.key_for(row)
-            ):
-                # Memory pressure: lazily flush the largest bucket and retry;
-                # if the row's own bucket got flushed the retry spills it.
-                self._raise_out_of_memory()
-                self._inner_table.flush_largest_bucket()
-                self._inner_table.insert(row)
-        self._charge_disk_time()
-        self._built = True
-
-    def _build_inner_batched(self) -> None:
-        """Batch-at-a-time build: bulk columnar inserts with the tuple path's
-        overflow recovery.
+    def _build(self) -> None:
+        """Build the inner table: bulk columnar inserts with lazy overflow.
 
         ``insert_batch`` moves whole per-bucket column gathers while memory
-        lasts and stops at exactly the row where the tuple-at-a-time build
-        would have overflowed; the refused suffix is retried after flushing
-        the largest bucket, so overflow events and bucket states match the
-        tuple drive one for one.
+        lasts and stops at exactly the row the budget refuses; the refused
+        suffix is retried after flushing the largest bucket, so overflow
+        events and bucket states are those of a row-by-row build.
         """
         assert self._inner_table is not None
         table = self._inner_table
@@ -121,12 +96,11 @@ class HybridHashJoin(JoinOperator):
                 if position < n:
                     # Memory pressure: flush the largest bucket and retry the
                     # refused suffix (rows whose bucket got flushed spill on
-                    # the retry, as in the tuple path).
+                    # the retry).
                     self._raise_out_of_memory()
                     if table.flush_largest_bucket() is None:
-                        # Nothing resident to flush; the tuple path's single
-                        # retry gives up on such a row, so take one plain
-                        # per-row step and move on.
+                        # Nothing resident to flush: insert this one row past
+                        # the limit (or spill it) and move on.
                         key = keys[position]
                         index = bucket_of(key, table.bucket_count)
                         if table.buckets[index].flushed:
@@ -185,56 +159,6 @@ class HybridHashJoin(JoinOperator):
                 schema=self.left.output_schema,
             )
         return self._outer_overflow[bucket_index]
-
-    def _probe_one(self, outer_row: Row) -> list[Row]:
-        assert self._inner_table is not None
-        key = self.left_key(outer_row)
-        if self._inner_table.is_bucket_flushed_for(key):
-            bucket_index = bucket_of(key, self._inner_table.bucket_count)
-            self._outer_overflow_file(bucket_index).write(outer_row)
-            self._charge_disk_time()
-            return []
-        schema = self.output_schema
-        values = outer_row.values
-        arrival = outer_row.arrival
-        make = Row.make
-        matched = self._inner_table.match_positions(key)
-        if matched is None:
-            return []
-        partition, positions = matched
-        out: list[Row] = []
-        arrivals = partition.arrivals
-        for position in positions:
-            inner_arrival = arrivals[position]
-            out.append(
-                make(
-                    schema,
-                    values + partition.value_tuple(position),
-                    arrival if arrival >= inner_arrival else inner_arrival,
-                )
-            )
-        return out
-
-    def _overflow_pairs(self) -> Iterator[Row]:
-        """Row-at-a-time overflow pass: joins spilled pairs, boxing each tuple.
-
-        Serves the tuple and row-batch drives; the columnar drive uses
-        :meth:`_overflow_pair_batches` instead and never boxes spilled rows.
-        """
-        assert self._inner_table is not None
-        for bucket_index in self._inner_table.flushed_buckets:
-            outer_file = self._outer_overflow.get(bucket_index)
-            if outer_file is None:
-                continue
-            # Reload the inner bucket (charging read I/O) into a transient map.
-            inner_by_key: dict[tuple, list[Row]] = {}
-            for inner_row, _ in self._inner_table.overflow_rows(bucket_index):
-                inner_by_key.setdefault(self.right_key(inner_row), []).append(inner_row)
-            self._charge_disk_time()
-            for outer_row, _ in outer_file.read():
-                for inner_row in inner_by_key.get(self.left_key(outer_row), ()):
-                    yield self.join_rows(outer_row, inner_row)
-            self._charge_disk_time()
 
     def _overflow_pair_batches(self) -> Iterator[Batch]:
         """Columnar overflow pass: joins spill chunks positionally, no boxing."""
@@ -297,53 +221,17 @@ class HybridHashJoin(JoinOperator):
 
     # -- iterator ----------------------------------------------------------------------------------
 
-    def _next(self) -> Row | None:
-        if not self._built:
-            self._build_inner()
-        while True:
-            if self._pending_out is not None:
-                row = self._pending_out.next_row()
-                if row is not None:
-                    return row
-                self._pending_out = None
-            if self._probe_matches:
-                return self._probe_matches.pop()
-            if self._overflow_batches is not None:
-                # A batch caller already started the columnar overflow pass;
-                # keep draining it (restarting the row pass would re-read the
-                # spill files and duplicate the already-emitted pairs).
-                batch = next(self._overflow_batches, None)
-                if batch is None:
-                    return None
-                self._pending_out = BatchCursor(batch)
-                continue
-            if self._overflow_output is not None:
-                return next(self._overflow_output, None)
-            outer_row = self.left.next()
-            if outer_row is None:
-                self._overflow_output = self._overflow_pairs()
-                continue
-            self._probe_matches = self._probe_one(outer_row)
-
     def _probe_outer_batch(self, outer: Batch) -> Batch | None:
         """Probe one outer batch in bulk; ``None`` when nothing matched.
 
-        On the columnar path the probe keys are extracted as column slices
-        (one ``zip`` over the key columns), outer tuples of flushed buckets
-        are spilled as per-file column gathers, and the output batch is
-        assembled from gathered match columns — no per-row key tuples via
-        attribute lookup, no :class:`Row` construction, and no per-tuple
-        spill writes.  Row-backed outer batches take the per-row path.
+        The probe keys are extracted as column slices (one ``zip`` over the
+        key columns), outer tuples of flushed buckets are spilled as
+        per-file column gathers, and the output batch is assembled from
+        gathered match columns — no per-row key tuples via attribute lookup,
+        no :class:`Row` construction, and no per-tuple spill writes.
         """
         assert self._inner_table is not None
         table = self._inner_table
-        if not outer.is_columnar:
-            matches: list[Row] = []
-            for outer_row in outer.rows():
-                matches.extend(self._probe_one(outer_row))
-            if not matches:
-                return None
-            return Batch.from_rows(self.output_schema, matches)
         keys = outer.key_tuples(self._left_binder.indices_in(outer.schema))
         positions: list[int] | None = None
         if table.flushed_count:
@@ -378,9 +266,9 @@ class HybridHashJoin(JoinOperator):
             outer, take, match_columns, match_arrivals, self.output_schema, aligned
         )
 
-    def _next_batch(self, max_rows: int) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None) -> Batch:
         if not self._built:
-            self._build_inner_batched()
+            self._build()
         context = self.context
         schema = self.output_schema
         parts: list[Batch] = []
@@ -394,38 +282,17 @@ class HybridHashJoin(JoinOperator):
                     parts.append(part)
                     count += len(part)
                 continue
-            if self._probe_matches:
-                # Leftovers from a tuple-at-a-time caller on the same operator.
-                needed = max_rows - count
-                rows = self._probe_matches[:needed]
-                del self._probe_matches[:needed]
-                parts.append(Batch.from_rows(schema, rows))
-                count += len(rows)
-                continue
             if self._overflow_batches is not None:
                 batch = next(self._overflow_batches, None)
                 if batch is None:
                     break
                 self._pending_out = BatchCursor(batch)
                 continue
-            if self._overflow_output is not None:
-                rows = []
-                needed = max_rows - count
-                for row in self._overflow_output:
-                    rows.append(row)
-                    if len(rows) >= needed:
-                        break
-                if not rows:
-                    break
-                parts.append(Batch.from_rows(schema, rows))
-                count += len(rows)
-                continue
-            outer = self.left.next_batch(max_rows)
+            outer = pull(self.left, max_rows, arrival_bound)
             if not outer:
-                if context.columnar:
-                    self._overflow_batches = self._overflow_pair_batches()
-                else:
-                    self._overflow_output = self._overflow_pairs()
+                if arrival_bound is not None and self.left.peek_arrival() is not None:
+                    break  # the bound was reached, not the outer's end of stream
+                self._overflow_batches = self._overflow_pair_batches()
                 continue
             result = self._probe_outer_batch(outer)
             if result is not None:

@@ -8,27 +8,23 @@ to conventional join algorithms.
 The inner load pulls blocks through ``next_batch`` like the other blocking
 operators (the hybrid hash build), so the inner child's per-tuple rule events
 are only materialized when a rule actually watches them and blocks are cut at
-the tuple-accurate firing points — the earlier implementation looped
-``next()``, paying one event object per inner tuple and ignoring the block
-protocol entirely.  The batch paths are native: the bounded variant pulls the
-outer side through ``next_batch_bounded`` so arrival bounds are honored, and
-matching is vectorized while still charging the tuple path's full
-compare-every-pair CPU cost (the algorithm being simulated is still a nested
-loop; only the wall-clock bookkeeping is bulk).
+the tuple-accurate firing points.  The outer side is pulled through
+``next_batch_bounded`` under an arrival bound, and matching is vectorized
+while still charging the full compare-every-pair CPU cost (the algorithm
+being simulated is still a nested loop; only the wall-clock bookkeeping is
+bulk).
 """
 
 from __future__ import annotations
 
 from repro.engine.context import ExecutionContext
-from repro.engine.iterators import DEFAULT_BATCH_SIZE, Operator
+from repro.engine.iterators import DEFAULT_BATCH_SIZE, Operator, pull
 from repro.engine.operators.joins.base import JoinOperator
 from repro.storage.batch import Batch, BatchCursor, gather_join_columns
 from repro.storage.columns import ColumnarPartition
-from repro.storage.tuples import Row
 
-#: Fraction of the per-tuple CPU cost charged for one inner-row comparison.
-#: Shared by the tuple path (charged per comparison) and the batch path
-#: (charged in bulk per outer block) so their virtual-time totals agree.
+#: Fraction of the per-tuple CPU cost charged for one inner-row comparison
+#: (charged in bulk per outer block).
 COMPARE_CPU_FACTOR = 0.1
 
 
@@ -49,10 +45,7 @@ class NestedLoopsJoin(JoinOperator):
             operator_id, context, left, right, left_keys, right_keys, estimated_cardinality
         )
         self._inner: ColumnarPartition | None = None
-        self._inner_row_cache: list[Row] | None = None
         self._inner_loaded = False
-        self._current_outer: Row | None = None
-        self._inner_cursor = 0
         self._pending_out: BatchCursor | None = None
 
     def _load_inner(self) -> None:
@@ -61,9 +54,8 @@ class NestedLoopsJoin(JoinOperator):
         Blocks are drained at batch granularity and land in a
         :class:`ColumnarPartition` (typed columns + key index, insertion
         order = scan order, so per-outer-row match order equals the
-        sequential scan).  Columnar blocks move as per-column extends with no
-        row boxing; the tuple-at-a-time drive boxes the buffer lazily on
-        first use (see :attr:`_inner_rows`).
+        sequential scan).  Blocks move as per-column extends with no row
+        boxing.
         """
         right = self.right
         partition = ColumnarPartition(
@@ -81,17 +73,10 @@ class NestedLoopsJoin(JoinOperator):
         self._inner = partition
         self._inner_loaded = True
 
-    @property
-    def _inner_rows(self) -> list[Row]:
-        """The inner buffer boxed as rows (tuple-at-a-time path only; cached)."""
-        if self._inner_row_cache is None:
-            self._inner_row_cache = self._inner.rows() if self._inner else []
-        return self._inner_row_cache
-
     def peek_arrival(self) -> float | None:
         if self.state in ("closed", "deactivated"):
             return None
-        if self._pending_out or self._current_outer is not None:
+        if self._pending_out:
             return self.context.clock.now
         if not self._inner_loaded:
             # Nothing can be produced before the inner is drained; its next
@@ -102,87 +87,28 @@ class NestedLoopsJoin(JoinOperator):
             return None
         return self.left.peek_arrival()
 
-    def _next(self) -> Row | None:
-        if not self._inner_loaded:
-            self._load_inner()
-        if self._pending_out is not None:
-            # Output left behind by a batch caller on the same operator.
-            row = self._pending_out.next_row()
-            if row is not None:
-                return row
-            self._pending_out = None
-        while True:
-            if self._current_outer is None:
-                self._current_outer = self.left.next()
-                self._inner_cursor = 0
-                if self._current_outer is None:
-                    return None
-            outer_key = self.left_key(self._current_outer)
-            while self._inner_cursor < len(self._inner_rows):
-                inner_row = self._inner_rows[self._inner_cursor]
-                self._inner_cursor += 1
-                # Comparing every inner tuple costs CPU even on mismatch.
-                self.context.clock.consume_cpu(
-                    self.context.config.per_tuple_cpu_ms * COMPARE_CPU_FACTOR
-                )
-                if self.right_key(inner_row) == outer_key:
-                    return self.join_rows(self._current_outer, inner_row)
-            self._current_outer = None
-
     # -- batch paths -------------------------------------------------------------
 
     def _join_outer_batch(self, outer: Batch) -> Batch | None:
         """All matches for one outer batch; ``None`` when nothing matched.
 
-        Columnar outer batches assemble output from gathered partition
-        columns (no row boxing); row-backed batches box each matched inner
-        row at the boundary.
+        Output is assembled from gathered partition columns (no row boxing).
         """
         partition = self._inner
         if partition is None or not len(partition):
             return None
-        positions_by_key = partition.positions
-        if outer.is_columnar:
-            keys = outer.key_tuples(self._left_binder.indices_in(outer.schema))
-            result = partition.gather_matches(keys)
-            if result is None:
-                return None
-            take, match_columns, match_arrivals, aligned = result
-            return gather_join_columns(
-                outer, take, match_columns, match_arrivals, self.output_schema, aligned
-            )
-        out: list[Row] = []
-        left_key = self.left_key
-        schema = self.output_schema
-        make = Row.make
-        arrivals = partition.arrivals
-        for outer_row in outer.rows():
-            found = positions_by_key.get(left_key(outer_row))
-            if found:
-                values = outer_row.values
-                arrival = outer_row.arrival
-                for p in found:
-                    inner_arrival = arrivals[p]
-                    out.append(
-                        make(
-                            schema,
-                            values + partition.value_tuple(p),
-                            arrival if arrival >= inner_arrival else inner_arrival,
-                        )
-                    )
-        if not out:
+        keys = outer.key_tuples(self._left_binder.indices_in(outer.schema))
+        result = partition.gather_matches(keys)
+        if result is None:
             return None
-        return Batch.from_rows(self.output_schema, out)
+        take, match_columns, match_arrivals, aligned = result
+        return gather_join_columns(
+            outer, take, match_columns, match_arrivals, self.output_schema, aligned
+        )
 
-    def _batched(self, max_rows: int, arrival_bound: float | None) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None) -> Batch:
         if not self._inner_loaded:
             self._load_inner()
-        if self._current_outer is not None:
-            # A tuple-at-a-time caller left an outer row mid-scan: fall back
-            # to the generic per-tuple loop, which finishes it exactly.
-            if arrival_bound is None:
-                return super()._next_batch(max_rows)
-            return super()._next_batch_bounded(max_rows, arrival_bound)
         schema = self.output_schema
         clock = self.context.clock
         cpu_per_compare = self.context.config.per_tuple_cpu_ms * COMPARE_CPU_FACTOR
@@ -195,19 +121,15 @@ class NestedLoopsJoin(JoinOperator):
                 if part:
                     return part
             wait_before = clock.stats.wait_ms
-            if arrival_bound is None:
-                outer = self.left.next_batch(max_rows)
-            else:
-                outer = self.left.next_batch_bounded(max_rows, arrival_bound)
+            outer = pull(self.left, max_rows, arrival_bound)
             if not outer:
                 # Unbounded: the outer is exhausted — end of stream.  Bounded:
-                # possibly just the bound; the caller falls back to next().
+                # possibly just the bound; the caller takes a one-row step.
                 return Batch.empty(schema)
             # The simulated algorithm still compares every (outer, inner)
             # pair; charge the whole block's comparison CPU in one call,
-            # overlapped with the waits accrued while the block streamed in —
-            # the tuple path interleaves the same charges between arrival
-            # waits, hiding them whenever data is the bottleneck.
+            # overlapped with the waits accrued while the block streamed in
+            # (each row's comparisons hide inside the wait for the next).
             if inner_count:
                 clock.consume_cpu_overlapped(
                     len(outer) * inner_count * cpu_per_compare,
@@ -216,9 +138,3 @@ class NestedLoopsJoin(JoinOperator):
             result = self._join_outer_batch(outer)
             if result is not None:
                 self._pending_out = BatchCursor(result)
-
-    def _next_batch(self, max_rows: int) -> Batch:
-        return self._batched(max_rows, None)
-
-    def _next_batch_bounded(self, max_rows: int, arrival_bound: float) -> Batch:
-        return self._batched(max_rows, arrival_bound)

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from repro.engine.context import ExecutionContext
-from repro.engine.iterators import Operator
+from repro.engine.iterators import Operator, pull
 from repro.storage.batch import Batch
 from repro.storage.schema import Schema
-from repro.storage.tuples import Row
 
 
 class Project(Operator):
@@ -42,13 +41,7 @@ class Project(Operator):
             return None
         return self.child.peek_arrival()
 
-    def _next(self) -> Row | None:
-        row = self.child.next()
-        if row is None:
-            return None
-        return row.project(self.attributes, self.output_schema)
-
-    def _next_batch(self, max_rows: int) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None) -> Batch:
         if self._indices is None:
             # The input schema is fixed once the child is open; bind the
             # projected attribute positions once instead of per row.
@@ -56,17 +49,9 @@ class Project(Operator):
             self._indices = [child_schema.index_of(name) for name in self.attributes]
         indices = self._indices
         schema = self.output_schema
-        batch = self.child.next_batch(max_rows)
+        batch = pull(self.child, max_rows, arrival_bound)
         if not batch:
             return Batch.empty(schema)
-        if batch.is_columnar:
-            # Columnar projection is pure column selection: the output batch
-            # aliases the chosen column lists, copying nothing.
-            return batch.select_columns(indices, schema)
-        return Batch.from_rows(
-            schema,
-            [
-                Row.make(schema, tuple(row.values[i] for i in indices), row.arrival)
-                for row in batch.rows()
-            ],
-        )
+        # Projection is pure column selection: the output batch aliases the
+        # chosen column lists, copying nothing.
+        return batch.select_columns(indices, schema)

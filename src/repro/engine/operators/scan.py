@@ -42,6 +42,9 @@ class WrapperScan(Operator):
         super().__init__(operator_id, context, estimated_cardinality=estimated_cardinality)
         self.source_name = source_name
         self.wrapper = context.create_wrapper(source_name, timeout_ms=timeout_ms)
+        # The source qualifies its schema anew on every request; one scan
+        # serves one schema for its lifetime.
+        self._schema = self.wrapper.schema
         self._threshold_counter = 0
         self._cache_feed = None
         self._rows_seen: list[Row] = []
@@ -58,7 +61,7 @@ class WrapperScan(Operator):
 
     @property
     def output_schema(self) -> Schema:
-        return self.wrapper.schema
+        return self._schema
 
     def _do_open(self) -> None:
         context = self.context
@@ -199,52 +202,22 @@ class WrapperScan(Operator):
             return self._follower.next_arrival()
         return self.wrapper.next_arrival()
 
-    def _next(self) -> Row | None:
-        if self.context.is_deactivated(self.operator_id):
-            return None
-        try:
-            row = self._pull_row()
-        except SourceTimeoutError:
-            self.context.emit_event(EventType.TIMEOUT, self.source_name)
-            self.context.emit_event(EventType.TIMEOUT, self.operator_id)
-            raise
-        except SourceUnavailableError as exc:
-            self.context.emit_event(EventType.ERROR, self.source_name, value=str(exc))
-            self.context.emit_event(EventType.ERROR, self.operator_id, value=str(exc))
-            raise
-        if row is None:
-            self._fill_cache_if_complete()
-            return None
-        if self._collects_for_cache:
-            self._rows_seen.append(row)
-        self._threshold_counter += 1
-        self.context.emit_event(
-            EventType.THRESHOLD, self.operator_id, value=self._threshold_counter
-        )
-        return row
-
-    def _next_batch(self, max_rows: int) -> Batch:
-        return self._batched_fetch(max_rows, None)
-
-    def _next_batch_bounded(self, max_rows: int, arrival_bound: float) -> Batch:
-        return self._batched_fetch(max_rows, arrival_bound)
-
-    def _batched_fetch(self, max_rows: int, arrival_bound: float | None) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None) -> Batch:
         """Vectorized fetch loop, optionally stopping at an arrival bound.
 
         Per-row THRESHOLD events are only emitted when a rule actually watches
-        this operator (emitting one Event object per source tuple is the
-        single biggest per-row cost of the tuple-at-a-time path); the
-        threshold counter itself is always maintained.  A source failure that
+        this operator (one Event object per source tuple would be the single
+        biggest per-row cost of a scan); the threshold counter itself is
+        always maintained.  A source failure that
         strikes mid-batch is deferred so the rows fetched before it are not
         lost: the partial batch is delivered and the error re-raised on the
-        next call, which is when a tuple-at-a-time consumer would have hit it.
+        next call, which is when a one-row consumer would have hit it.
 
-        In columnar mode the unwatched block path builds the batch's column
-        lists straight from the wrapper's fetched blocks (no per-row
-        :class:`Row` objects); the watched, cache-feed, and cache-collecting
-        paths stay row-based, since they need per-row events or row objects
-        anyway.
+        The unwatched block path builds the batch's column lists straight
+        from the wrapper's fetched blocks (no per-row :class:`Row` objects);
+        the watched, cache-feed, follower and cache-collecting paths build a
+        row-backed batch, since they need per-row events or row objects
+        anyway (consumers transpose it when they read its columns).
         """
         if self._deferred_error is not None:
             error, self._deferred_error = self._deferred_error, None
@@ -263,7 +236,7 @@ class WrapperScan(Operator):
             fetch = self._pull_batched_row
             next_arrival = self._stream_next_arrival
         use_block = cache_feed is None and self._follower is None and not watched
-        if use_block and not collect_for_cache and self._extent is None and context.columnar:
+        if use_block and not collect_for_cache and self._extent is None:
             return self._batched_fetch_columnar(max_rows, arrival_bound)
         while len(batch) < max_rows:
             if use_block:
@@ -410,7 +383,6 @@ class TableScan(Operator):
     ) -> None:
         super().__init__(operator_id, context, estimated_cardinality=estimated_cardinality)
         self.relation_name = relation_name
-        self._relation = None
         self._cursor = 0
 
     @property
@@ -418,46 +390,29 @@ class TableScan(Operator):
         return self.context.local_store.get(self.relation_name).schema
 
     def _do_open(self) -> None:
-        # Row access stays lazy: a relation materialized columnar is only
-        # boxed into Row objects if the tuple path actually reads it.
-        self._relation = self.context.local_store.get(self.relation_name)
+        self.context.local_store.get(self.relation_name)  # unknown relations fail here
         self._cursor = 0
 
-    def _next(self) -> Row | None:
-        rows = self._relation.rows
-        if self._cursor >= len(rows):
-            return None
-        row = rows[self._cursor]
-        self._cursor += 1
-        # Local reads are CPU + buffer-pool work; charge a small per-tuple cost
-        # (the base class adds the generic per-tuple CPU charge on return).
-        return row.with_arrival(self.context.clock.now)
-
-    def _next_batch(self, max_rows: int) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None) -> Batch:
         now = self.context.clock.now
         schema = self.output_schema
-        if self.context.columnar:
-            # Columns come straight from the stored relation (served from its
-            # buffered columnar batches when the result was materialized
-            # columnar); arrival is "now" for every row, as in the tuple path.
-            columns, count = self.context.local_store.column_block(
-                self.relation_name, self._cursor, max_rows
-            )
-            self._cursor += count
-            if not count:
-                return Batch.empty(schema)
-            # Local block reads stamp every row "now": one arrival run in
-            # encoded mode instead of ``count`` boxed floats.
-            arrivals = (
-                RunLengthArrivals.constant(now, count)
-                if self.context.encoded_columns
-                else [now] * count
-            )
-            return Batch.from_columns(schema, columns, arrivals)
-        block = self.context.local_store.row_block(
+        if arrival_bound is not None and now >= arrival_bound:
+            # Stored rows are available "now": none arrives before the bound.
+            return Batch.empty(schema)
+        # Columns come straight from the stored relation (served from its
+        # buffered columnar batches when the result was materialized
+        # columnar); arrival is "now" for every row.
+        columns, count = self.context.local_store.column_block(
             self.relation_name, self._cursor, max_rows
         )
-        self._cursor += len(block)
-        if not block:
+        self._cursor += count
+        if not count:
             return Batch.empty(schema)
-        return Batch.from_rows(schema, [row.with_arrival(now) for row in block])
+        # Local block reads stamp every row "now": one arrival run in
+        # encoded mode instead of ``count`` boxed floats.
+        arrivals = (
+            RunLengthArrivals.constant(now, count)
+            if self.context.encoded_columns
+            else [now] * count
+        )
+        return Batch.from_columns(schema, columns, arrivals)

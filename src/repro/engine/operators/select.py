@@ -5,13 +5,12 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.engine.context import ExecutionContext
-from repro.engine.iterators import Operator
+from repro.engine.iterators import Operator, pull
 from repro.errors import SchemaError
 from repro.query.conjunctive import COMPARATORS, SelectionPredicate
 from repro.storage.batch import Batch
 from repro.storage.columns import DictColumn
 from repro.storage.schema import Schema
-from repro.storage.tuples import Row
 
 #: A compiled predicate: (column index or None, comparator, constant).
 CompiledPredicate = tuple[int | None, Callable[[Any, Any], bool], Any]
@@ -84,31 +83,15 @@ class Select(Operator):
             return None
         return self.child.peek_arrival()
 
-    def _matches(self, row: Row) -> bool:
-        for predicate in self.predicates:
-            value = row.get(f"{predicate.table}.{predicate.attr}", row.get(predicate.attr))
-            if value is None or not predicate.evaluate(value):
-                return False
-        return True
-
-    def _next(self) -> Row | None:
-        while True:
-            row = self.child.next()
-            if row is None:
-                return None
-            if self._matches(row):
-                return row
-
     def _compile_predicates(self) -> list[CompiledPredicate]:
         """Bind each predicate to a column index and a raw comparator, once.
 
-        The tuple path resolves attribute names (and the comparator table) per
-        row; the input schema is fixed once the child is open, so the batch
+        The input schema is fixed once the child is open, so the batch
         evaluator binds column indices and comparator callables a single time
         and then filters whole batches with plain ``comparator(value, const)``
-        calls.  ``None`` marks an attribute absent from the schema — such
-        predicates can never be satisfied (mirroring :meth:`_matches`, where
-        the lookup yields ``None``).
+        calls.  A predicate names ``table.attr`` or, failing that, ``attr``;
+        ``None`` marks an attribute absent from the schema — such predicates
+        can never be satisfied.
         """
         schema = self.child.output_schema
         compiled: list[CompiledPredicate] = []
@@ -173,8 +156,8 @@ class Select(Operator):
             mask.extend(comparator(value, constant) for value in values[start:])
         return mask
 
-    def _filter_columnar(self, batch: Batch) -> Batch:
-        """Filter a whole columnar batch: per-column passes, one index-take.
+    def _filter(self, batch: Batch) -> Batch:
+        """Filter a whole batch: per-column passes, one index-take.
 
         Each predicate narrows a selection vector of row indices by scanning
         only its own column; the surviving indices drive a single
@@ -227,49 +210,16 @@ class Select(Operator):
             return batch
         return batch.take(selected)
 
-    def _filter_rows(self, batch: Batch) -> Batch:
-        """Row-backed filtering with the same compiled predicates.
-
-        Short-circuits per row, so the same selectivity counters feed the
-        adaptive re-sort: a predicate is "tested" each time it runs and
-        "passes" each row it lets through to the next conjunct.
-        """
-        assert self._compiled is not None
-        compiled = self._compiled
-        observed = self._observed
-        out: list[Row] = []
-        calls = 0
-        for row in batch.rows():
-            values = row.values
-            for position, (index, comparator, constant) in enumerate(compiled):
-                if index is None:
-                    break
-                value = values[index]
-                calls += 1
-                counters = observed[position]
-                counters[0] += 1
-                if value is None or not comparator(value, constant):
-                    break
-                counters[1] += 1
-            else:
-                out.append(row)
-        self.comparator_calls += calls
-        self._maybe_reorder()
-        return Batch.from_rows(batch.schema, out)
-
-    def _next_batch(self, max_rows: int) -> Batch:
+    def _next_batch(self, max_rows: int, arrival_bound: float | None) -> Batch:
         if self._compiled is None:
             self._compiled = self._compile_predicates()
             self._observed = [[0, 0] for _ in self._compiled]
             self._dict_masks = [{} for _ in self._compiled]
         child = self.child
         while True:
-            batch = child.next_batch(max_rows)
+            batch = pull(child, max_rows, arrival_bound)
             if not batch:
                 return batch
-            if batch.is_columnar:
-                out = self._filter_columnar(batch)
-            else:
-                out = self._filter_rows(batch)
+            out = self._filter(batch)
             if out:
                 return out

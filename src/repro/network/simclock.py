@@ -81,10 +81,10 @@ class SimClock:
     def consume_cpu_overlapped(self, cpu_ms: float, absorbable_wait_ms: float) -> float:
         """Charge CPU that overlapped network waiting (pipelined execution).
 
-        Tuple-at-a-time operators charge CPU *between* arrival waits, so the
-        cost hides inside the next wait whenever data is the bottleneck.  A
-        batch operator charges after its whole batch has streamed in; to keep
-        the two accountings equivalent, up to ``absorbable_wait_ms`` of the
+        A pipelined operator's per-tuple CPU runs *between* arrival waits, so
+        the cost hides inside the next wait whenever data is the bottleneck.
+        A batch is charged after it has streamed in; to model that overlap,
+        up to ``absorbable_wait_ms`` of the
         charge (the waiting that accrued while this batch was produced) is
         reclassified from waiting to CPU, and only the excess extends virtual
         time.

@@ -207,7 +207,6 @@ class ProcessLanes:
                 "lane_start_ms": lane.context.clock.now,
                 "input_schemas": schemas,
                 "config": exchange.context.config,
-                "columnar": exchange.context.columnar,
                 "encoded": exchange.context.encoded_columns,
                 "query_name": f"{exchange.context.stats.query_name}.lane{lane.index}",
             }

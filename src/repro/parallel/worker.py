@@ -161,7 +161,6 @@ def _build(init: dict, limits: dict, feed: _WorkerFeed):
         config=init["config"],
         query_name=init["query_name"],
     )
-    context.columnar = init["columnar"]
     context.encoded_columns = init["encoded"]
     index = init["lane_index"]
     exchange_id = init["exchange_id"]

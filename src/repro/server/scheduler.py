@@ -83,7 +83,6 @@ class QueryServer:
         session_id: str,
         arrival_ms: float | None,
         engine_config: EngineConfig | None,
-        columnar: bool | None,
     ) -> ExecutionContext:
         clock = self.clock.session_clock(session_id, start_ms=arrival_ms)
         pool = MemoryPool(name=session_id, broker=self.broker)
@@ -96,8 +95,6 @@ class QueryServer:
             source_cache=self.source_cache,
             session_id=session_id,
         )
-        if columnar is not None:
-            context.columnar = columnar
         return context
 
     def _next_session_id(self, name: str | None) -> str:
@@ -113,10 +110,9 @@ class QueryServer:
         name: str | None = None,
         *,
         result_name: str | None = None,
-        batch_size: int | None = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         arrival_ms: float | None = None,
         engine_config: EngineConfig | None = None,
-        columnar: bool | None = None,
     ) -> QuerySession:
         """Admit a session over a hand-built operator tree.
 
@@ -125,7 +121,7 @@ class QueryServer:
         session can never start in the past.
         """
         session_id = self._next_session_id(name)
-        context = self._session_context(session_id, arrival_ms, engine_config, columnar)
+        context = self._session_context(session_id, arrival_ms, engine_config)
         session = QuerySession(
             session_id,
             context,
@@ -144,10 +140,9 @@ class QueryServer:
         plan: QueryPlan,
         name: str | None = None,
         *,
-        batch_size: int | None = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         arrival_ms: float | None = None,
         engine_config: EngineConfig | None = None,
-        columnar: bool | None = None,
     ) -> QuerySession:
         """Admit a session over a full query plan (fragments, rules, events).
 
@@ -160,7 +155,7 @@ class QueryServer:
         from repro.optimizer.memory_alloc import negotiate_plan_memory
 
         session_id = self._next_session_id(name)
-        context = self._session_context(session_id, arrival_ms, engine_config, columnar)
+        context = self._session_context(session_id, arrival_ms, engine_config)
         negotiate_plan_memory(plan, self.broker)
         if context.config.validate_plans:
             from repro.analysis.plan_check import check_plan
@@ -210,20 +205,6 @@ class QueryServer:
             self.scheduler_slices += 1
         if self.prefetcher is not None:
             self.prefetcher.quiesce()
-        return self.stats()
-
-    def run_serially(self) -> ServerStats:
-        """Back-to-back baseline: finish each session before starting the next.
-
-        Uses the same sessions, clocks, broker, and cache — only the
-        interleaving differs — so the gap between :meth:`run` and this is
-        purely the scheduler's overlap (the benchmark instead compares
-        against fully isolated runs, which also removes sharing).
-        """
-        for session in sorted(self.sessions.values(), key=lambda s: s.admission_index):
-            while not session.finished:
-                session.step()
-                self.scheduler_slices += 1
         return self.stats()
 
     # -- reporting ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Columnar batches: the struct-of-arrays unit of vectorized execution.
+"""Columnar batches: the struct-of-arrays unit of execution.
 
 A :class:`Batch` carries up to a few hundred tuples as one Python list per
 column (plus a parallel list of arrival stamps), all sharing one
@@ -6,16 +6,14 @@ column (plus a parallel list of arrival stamps), all sharing one
 operators work on whole batches with C-speed primitives — ``zip`` transposes,
 list-comprehension gathers, slice copies — instead of creating one boxed
 :class:`~repro.storage.tuples.Row` object per tuple.  Rows are only
-materialized lazily at the boundaries that genuinely need them (the
-tuple-at-a-time drive, hash-table build sides, tests).
+materialized lazily at the boundaries that genuinely need them (a one-row
+``next()``, relations read row-wise, tests).
 
-A batch may be *column-backed* or *row-backed*.  Operators with native
-columnar paths (scans, select, project, the hash-join probe) produce and
-consume column-backed batches; operators that are inherently tuple-driven
-(the dynamic collector's per-arrival child picking, the double pipelined
-join's output) produce row-backed batches.  Either representation converts
-to the other lazily and caches the result, so mixed pipelines compose
-without sprinkling conversions through operator code.
+Operators read and produce columns.  A few leaves build a batch from rows
+they hold anyway — a scan whose rows a rule watches one by one, a scan fed
+from (or collecting for) the source cache, the collector's watched-threshold
+path; such a *row-backed* batch transposes to columns on first access and
+caches the result, so consumers never branch on the representation.
 
 Batches are immutable by contract: once a column list is handed to
 ``from_columns`` (or obtained from ``.columns``) it must not be mutated —
@@ -154,17 +152,10 @@ class Batch:
         """True when column lists are already materialized (native columnar path)."""
         return self._columns is not None
 
-    def wire_parts(self) -> tuple[list | None, list[Row] | None, list[float]]:
-        """``(columns, rows, arrivals)`` exactly as stored — no conversion.
-
-        The wire format must ship the representation the batch actually has:
-        operators branch on :attr:`is_columnar`, so a row-backed batch that
-        crossed a process boundary as columns would drive different code on
-        the other side.  ``columns`` is ``None`` for a row-backed batch (and
-        vice versa); a batch holding both cached forms ships as columns."""
-        if self._columns is not None:
-            return self._columns, None, self.arrivals
-        return None, self._rows, self.arrivals
+    def wire_parts(self) -> tuple[list, list[float]]:
+        """``(columns, arrivals)`` for the wire format (a row-backed batch
+        transposes once)."""
+        return self.columns, self.arrivals
 
     # -- representation conversion (lazy, cached) ------------------------------
 
@@ -187,7 +178,7 @@ class Batch:
         rows = self._rows
         if rows is None:
             schema = self.schema
-            make = Row.make  # repro: allow[hot-path-row] declared tuple-path boundary
+            make = Row.make  # repro: allow[hot-path-row] declared row-view boundary
             columns = self._columns
             if columns:
                 rows = [
@@ -200,7 +191,7 @@ class Batch:
         return rows
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows())  # repro: allow[hot-path-row] tuple-drive compatibility
+        return iter(self.rows())  # repro: allow[hot-path-row] row view for boundaries and tests
 
     def __getitem__(self, index: int) -> Row:
         if self._rows is not None:
@@ -261,46 +252,6 @@ class Batch:
         return f"Batch({len(self)} rows, {kind}, {self.schema.names})"
 
 
-def gather_join(
-    left: Batch,
-    take: Sequence[int],
-    right_rows: Sequence[Row],
-    schema: Schema,
-    aligned: bool = False,
-) -> Batch:
-    """Join-output batch: left rows at ``take`` concatenated with ``right_rows``.
-
-    ``take[i]`` names the left row matched by ``right_rows[i]`` (indices repeat
-    when a left row has several matches).  Left values are gathered column by
-    column; right values are transposed from the matched rows; each output
-    arrival is the later of the two input stamps — exactly what
-    :meth:`Row.concat` produces tuple-at-a-time.
-
-    ``aligned=True`` asserts that ``take`` is the identity permutation (every
-    left row matched exactly once, the common case for foreign-key joins);
-    the left columns are then aliased outright instead of gathered.
-    """
-    if aligned:
-        columns = list(left.columns)
-        columns.extend(transpose_rows(right_rows))
-        left_arrivals = left.arrivals
-        arrivals = [
-            a if a >= (b := row.arrival) else b
-            for a, row in zip(left_arrivals, right_rows)
-        ]
-        return Batch.from_columns(schema, columns, arrivals)
-    columns = [[column[i] for i in take] for column in left.columns]
-    columns.extend(transpose_rows(right_rows))
-    left_arrivals = left.arrivals
-    arrivals = []
-    append = arrivals.append
-    for index, row in zip(take, right_rows):
-        a = left_arrivals[index]
-        b = row.arrival
-        append(a if a >= b else b)
-    return Batch.from_columns(schema, columns, arrivals)
-
-
 def gather_join_columns(
     left: Batch,
     take: Sequence[int],
@@ -309,15 +260,16 @@ def gather_join_columns(
     schema: Schema,
     aligned: bool = False,
 ) -> Batch:
-    """Join-output batch from already-gathered *columnar* right-side matches.
+    """Join-output batch: left rows at ``take`` beside gathered right matches.
 
-    The columnar twin of :func:`gather_join`: the matched build/probe values
-    arrive as column lists (gathered straight out of hash-bucket partitions
-    or spill chunks) instead of as :class:`Row` objects, so assembling the
-    output is pure per-column work — no row boxing anywhere.  ``take[i]``
-    names the left row matched by right position ``i``; ``aligned=True``
-    asserts ``take`` is the identity permutation, letting the left columns
-    alias instead of gather.
+    The matched build/probe values arrive as column lists (gathered straight
+    out of hash-bucket partitions or spill chunks), so assembling the output
+    is pure per-column work — no row boxing anywhere.  ``take[i]`` names the
+    left row matched by right position ``i`` (indices repeat when a left row
+    has several matches); each output arrival is the later of the two input
+    stamps, as in :meth:`Row.concat`.  ``aligned=True`` asserts ``take`` is
+    the identity permutation, letting the left columns alias instead of
+    gather.
     """
     if aligned:
         columns = list(left.columns)
@@ -342,7 +294,7 @@ class BatchCursor:
 
     Join operators produce one output batch per probed input batch, which may
     exceed the consumer's requested ``max_rows``; a cursor hands out slices
-    (or single rows, for tuple-at-a-time callers) until the batch is drained.
+    until the batch is drained.
     """
 
     __slots__ = ("batch", "position")
@@ -367,11 +319,3 @@ class BatchCursor:
         if position == 0 and stop == len(self.batch):
             return self.batch
         return self.batch.slice(position, stop)
-
-    def next_row(self) -> Row | None:
-        """One row at a time (for tuple-at-a-time consumers); ``None`` when drained."""
-        if self.position >= len(self.batch):
-            return None
-        row = self.batch[self.position]
-        self.position += 1
-        return row

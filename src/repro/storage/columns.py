@@ -51,7 +51,6 @@ from operator import ne
 from typing import Any, Iterator, Sequence
 
 from repro.storage.schema import Schema
-from repro.storage.tuples import Row
 
 #: array typecodes for the attribute types stored packed.
 NUMERIC_TYPECODES = {"int": "q", "float": "d"}
@@ -652,19 +651,6 @@ class ColumnarPartition:
 
     # -- insertion ------------------------------------------------------------
 
-    def append_values(self, key: tuple[Any, ...], values: Sequence[Any], arrival: float) -> None:
-        """Insert one row given as a value vector (the tuple-at-a-time path)."""
-        columns = self.columns
-        for j, value in enumerate(values):
-            append_value(columns, j, value)
-        position = len(self.arrivals)
-        self.arrivals.append(arrival)
-        found = self.positions.get(key)
-        if found is None:
-            self.positions[key] = [position]
-        else:
-            found.append(position)
-
     def append_position(
         self,
         key: tuple[Any, ...],
@@ -785,26 +771,6 @@ class ColumnarPartition:
             for column in self.columns
         ]
         return take, match_columns, list(map(self.arrivals.__getitem__, where)), aligned
-
-    def value_tuple(self, index: int) -> tuple[Any, ...]:
-        """The value vector of one row (boxes a tuple, not a Row)."""
-        return tuple(column[index] for column in self.columns)
-
-    def row_at(self, index: int) -> Row:
-        """One row boxed as a :class:`Row` (compatibility/tuple-path accessor)."""
-        # repro: allow[hot-path-row] declared tuple-path boundary accessor
-        return Row.make(self.schema, self.value_tuple(index), self.arrivals[index])
-
-    def rows(self) -> list[Row]:
-        """All rows boxed (compatibility/tuple-path accessor)."""
-        schema = self.schema
-        make = Row.make  # repro: allow[hot-path-row] declared tuple-path boundary
-        if not len(self.arrivals):
-            return []
-        return [
-            make(schema, values, arrival)
-            for values, arrival in zip(zip(*self.columns), self.arrivals)
-        ]
 
     # -- teardown ----------------------------------------------------------------
 

@@ -11,9 +11,9 @@ Spill files store *columnar chunks*: one column per attribute, a parallel
 arrival-stamp column, and the marked/unmarked bit of the double pipelined
 join's duplicate-avoidance discipline as one more column.  Whole bucket
 flushes and batch spills move column sets in a single call with one
-block-level accounting charge; the per-row ``write``/``read`` API remains
-for tuple-at-a-time callers (and as the row-spill baseline the spill
-benchmark measures against) and boxes rows only at that boundary.
+block-level accounting charge.  A per-row ``write``/``read`` view remains
+(the engine itself no longer calls it) and boxes rows only at that
+boundary.
 
 Byte accounting is *representation-faithful*: each chunk is charged what its
 columns actually cost.  A dictionary-encoded string column spills as 8-byte
@@ -159,8 +159,8 @@ class OverflowFile:
         # tail chunks whose writers carry no dictionary of their own, the
         # set of dictionary *values* already charged to this file (a file
         # stores each distinct string once, no matter which producer's
-        # dictionary coded it — and no matter how the writer's drive mode
-        # shaped the chunks), and the last arrival written (runs span chunk
+        # dictionary coded it — and no matter how the writer shaped the
+        # chunks), and the last arrival written (runs span chunk
         # boundaries so the per-row and chunk write paths charge identical
         # bytes).
         self._dictionaries: list | None = None

@@ -13,9 +13,7 @@ byte estimate — :meth:`Schema.encoded_row_size` by default (string columns
 dictionary-encode; dictionary entries charge once per table as they are
 first inserted), :meth:`Schema.columnar_row_size` with ``encoded=False`` —
 against a :class:`~repro.storage.memory.MemoryBudget`, so the join operators
-discover memory pressure exactly when the paper's engine would — identically
-in all three drive modes, because the table's representation never changes
-with the drive.
+discover memory pressure exactly when the paper's engine would.
 """
 
 # repro: module-role[hot-path] -- per-row work here multiplies by the dataset size
@@ -39,7 +37,7 @@ from repro.storage.columns import (
 from repro.storage.disk import OverflowFile, SimulatedDisk, SpillChunk
 from repro.storage.memory import MemoryBudget
 from repro.storage.schema import Schema
-from repro.storage.tuples import KeyBinder, Row
+from repro.storage.tuples import KeyBinder
 
 #: Default bucket count; the paper's engine sized this from optimizer hints.
 DEFAULT_BUCKET_COUNT = 64
@@ -198,7 +196,7 @@ class BucketedHashTable:
         (the overflow signal) forward.  Adopted slots charge each entry at
         the first *insert* referencing it (tracked per code), which is the
         same logical point an owned dictionary charges at, so byte totals
-        and overflow positions agree across drive modes.
+        and overflow positions do not depend on the dictionary's owner.
         """
         dictionaries = make_dictionaries(self.schema)
         adopted: list = []
@@ -247,41 +245,11 @@ class BucketedHashTable:
             )
         return partition
 
-    # -- basic operations --------------------------------------------------------
-
-    def key_for(self, row: Row) -> tuple[Any, ...]:
-        return self._binder.key(row)
+    # -- inserting -------------------------------------------------------------
 
     def key_indices_in(self, schema: Schema) -> tuple[int, ...]:
         """Positions of the key attributes in ``schema`` (for bulk extraction)."""
         return self._binder.indices_in(schema)
-
-    def bucket_for_key(self, key: tuple[Any, ...]) -> Bucket:
-        return self.buckets[hash(key) % self.bucket_count]
-
-    def insert(self, row: Row, marked: bool = False, key: tuple[Any, ...] | None = None) -> bool:
-        """Insert ``row``.
-
-        Returns ``True`` when the row is resident in memory, ``False`` when it
-        went straight to the bucket's overflow file (because the bucket was
-        already flushed) or when the memory budget refused the reservation.
-        A ``False`` return with an un-flushed bucket signals the caller that
-        its overflow strategy must run before retrying.  Callers that already
-        computed the row's join key may pass it to skip recomputation.
-        """
-        self._adopt_schema(row.schema)
-        if key is None:
-            key = self._binder.key(row)
-        bucket = self.buckets[hash(key) % self.bucket_count]
-        self.total_inserted += 1
-        if bucket.flushed:
-            self._ensure_overflow(bucket).write(row, marked)
-            return False
-        if not self.budget.try_reserve(self.row_bytes):
-            self.total_inserted -= 1
-            return False
-        self._partition(bucket).append_values(key, row.values, row.arrival)
-        return True
 
     def insert_position(
         self,
@@ -319,12 +287,11 @@ class BucketedHashTable:
 
         A return equal to ``stop`` (default ``len(batch)``) means every row
         was handled.  Rows whose bucket is already flushed are written
-        straight to that bucket's overflow file (they count as handled,
-        exactly as in :meth:`insert`).  On the first memory refusal for a
-        resident insert, the refused row's position is returned so the
-        caller can run its overflow strategy and retry from there — the
-        refusal lands on exactly the row where the tuple-at-a-time path
-        would have overflowed.
+        straight to that bucket's overflow file (they count as handled).  On
+        the first memory refusal for a resident insert, the refused row's
+        position is returned so the caller can run its overflow strategy and
+        retry from there — the refusal lands on exactly the row where
+        row-by-row inserts would have overflowed.
 
         When no row's bucket has flushed and the rows fit the budget
         together with every dictionary entry they add, the rows move as
@@ -431,39 +398,6 @@ class BucketedHashTable:
                 )
         return total, adopted
 
-    def insert_resident(self, row: Row) -> None:
-        """Insert assuming memory is available; raises if the budget refuses."""
-        if not self.insert(row):
-            raise StorageError(
-                f"{self.name}: failed to insert resident row (budget exhausted "
-                f"or bucket flushed)"
-            )
-
-    # -- probing -------------------------------------------------------------------
-
-    def probe(self, key: tuple[Any, ...]) -> list[Row]:
-        """Resident rows matching ``key``, boxed (the tuple-at-a-time view)."""
-        bucket = self.bucket_for_key(key)
-        positions = bucket.match(key)
-        if not positions:
-            return []
-        partition = bucket.partition
-        return [partition.row_at(i) for i in positions]
-
-    def probe_row(self, row: Row, key_names: Sequence[str]) -> list[Row]:
-        """Probe using ``row``'s values of ``key_names`` as the key."""
-        return self.probe(row.key(key_names))
-
-    def match_positions(
-        self, key: tuple[Any, ...]
-    ) -> tuple[ColumnarPartition, list[int]] | None:
-        """Resident matches as ``(partition, positions)`` — no row boxing."""
-        bucket = self.buckets[hash(key) % self.bucket_count]
-        positions = bucket.match(key)
-        if not positions:
-            return None
-        return bucket.partition, positions
-
     def gather_matches(
         self,
         keys: Sequence[tuple[Any, ...]],
@@ -528,9 +462,6 @@ class BucketedHashTable:
         match_arrivals = list(map(getitem, map(_arrivals_of, owners), where))
         aligned = aligned and len(probe_range) == len(keys)
         return take, match_columns, match_arrivals, aligned
-
-    def is_bucket_flushed_for(self, key: tuple[Any, ...]) -> bool:
-        return self.bucket_for_key(key).flushed
 
     # -- flushing ----------------------------------------------------------------
 
@@ -628,26 +559,12 @@ class BucketedHashTable:
     def has_resident_data(self) -> bool:
         return any(b.resident_count > 0 for b in self.buckets)
 
-    def resident_items(self) -> Iterator[Row]:
-        """All resident rows, bucket by bucket (boxed; tests and debugging)."""
-        for bucket in self.buckets:
-            if bucket.partition is not None:
-                # repro: allow[hot-path-row] boxed inspection view, tests/debugging only
-                yield from bucket.partition.rows()
-
     def overflow_chunks(self, index: int) -> Iterator[SpillChunk]:
         """Read back bucket ``index``'s overflow file as columnar chunks."""
         bucket = self.buckets[index]
         if bucket.overflow is None:
             return iter(())
         return bucket.overflow.read_chunks()
-
-    def overflow_rows(self, index: int) -> Iterator[tuple[Row, bool]]:
-        """Read back bucket ``index``'s overflow file (charging read I/O)."""
-        bucket = self.buckets[index]
-        if bucket.overflow is None:
-            return iter(())
-        return bucket.overflow.read()
 
     def check_accounting(self) -> None:
         """Raise unless the budget's usage covers this table's resident bytes.

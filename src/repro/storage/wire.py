@@ -15,10 +15,10 @@ outputs back) without giving up the storage layer's compact representations:
   (the code-vs-code fast paths keep working);
 * non-degraded :class:`~repro.storage.columns.RunLengthArrivals` ship as
   ``(value, run)`` pairs; degraded ones ship their plain list, so the
-  receiver reconstructs the identical internal form;
-* row-backed batches ship as value tuples and are rebuilt row-backed —
-  operators branch on :attr:`~repro.storage.batch.Batch.is_columnar`, so
-  the representation must survive the crossing.
+  receiver reconstructs the identical internal form.
+
+Every batch ships as columns: a row-backed batch transposes on the way out
+and arrives column-backed (operators read columns either way).
 
 One :class:`WireEncoder` / :class:`WireDecoder` pair serves one direction of
 one (parent, lane) link for the query's lifetime; the encoder's byte and
@@ -40,7 +40,6 @@ from repro.errors import StorageError
 from repro.storage.batch import Batch
 from repro.storage.columns import DictColumn, Dictionary, RunLengthArrivals
 from repro.storage.schema import Schema
-from repro.storage.tuples import Row
 
 
 class WireFormatError(StorageError):
@@ -142,12 +141,9 @@ class WireEncoder:
 
     def encode_batch(self, batch: Batch) -> tuple:
         """One batch as a picklable wire structure (pair with :func:`pack`)."""
-        columns, rows, arrivals = batch.wire_parts()
+        columns, arrivals = batch.wire_parts()
         schema_ref = self._schema_ref(batch.schema)
         self.batches += 1
-        if columns is None:
-            values = [row.values for row in rows]
-            return ("rows", schema_ref, values, [row.arrival for row in rows])
         return (
             "cols",
             schema_ref,
@@ -228,16 +224,9 @@ class WireDecoder:
         raise WireFormatError(f"unknown arrival encoding {kind!r}")
 
     def decode_batch(self, encoded: tuple) -> Batch:
-        """Rebuild one batch; representation (columns vs rows) is preserved."""
+        """Rebuild one column-backed batch."""
         kind = encoded[0]
         schema = self._resolve_schema(encoded[1])
-        if kind == "rows":
-            _, _, values, arrivals = encoded
-            rows = [
-                Row.make(schema, row_values, arrival)
-                for row_values, arrival in zip(values, arrivals)
-            ]
-            return Batch.from_rows(schema, rows)
         if kind == "cols":
             columns = [self._decode_column(column) for column in encoded[2]]
             return Batch.from_columns(schema, columns, self._decode_arrivals(encoded[3]))

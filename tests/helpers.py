@@ -46,3 +46,29 @@ def multiset(relation_or_rows) -> dict:
     for row in relation_or_rows:
         counts[row.values] = counts.get(row.values, 0) + 1
     return counts
+
+
+def insert_row(table, row) -> bool:
+    """Insert one row into a hash table through its bulk path.
+
+    Returns ``True`` when the row is resident afterwards, ``False`` when it
+    went to its flushed bucket's overflow file or the budget refused it.
+    """
+    from repro.storage.batch import Batch
+
+    before = table.resident_rows
+    table.insert_batch(Batch.from_rows(row.schema, [row]))
+    return table.resident_rows > before
+
+
+def probe_values(table, key: tuple) -> list[tuple]:
+    """Value tuples of the resident rows matching ``key``."""
+    result = table.gather_matches([key])
+    if result is None:
+        return []
+    return list(zip(*result[1]))
+
+
+def spilled_marks(table, index: int) -> list[bool]:
+    """Marked bits of bucket ``index``'s spilled rows (reads charge I/O)."""
+    return [bool(marked) for chunk in table.overflow_chunks(index) for marked in chunk.marked]

@@ -1,7 +1,9 @@
 """Exchange / ExchangeSource: lane-count invariance, broker invariant, determinism.
 
-The exchange promises result transparency — identical result multisets at any
-lane count, across all three drive modes — plus the server-wide memory
+The exchange promises result transparency — the oracle's result multiset at
+any lane count, whether leaves build column- or row-backed batches and
+whether the root is pulled in full batches or one row at a time — plus the
+server-wide memory
 invariant (``broker.used == sum(resident_bytes)`` at every revocation, with
 per-lane budgets as individual leases) and a fully deterministic merge
 (earliest event first, lane index as the tie-break).
@@ -25,16 +27,18 @@ from repro.storage.hash_table import stable_bucket_of
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
+import oracle
 from helpers import make_relation, multiset
 
 SLOW = NetworkProfile(name="slow", initial_latency_ms=40.0, bandwidth_kbps=64.0)
 
-#: The three drive modes (ROADMAP PR 1/2): columnar batches, row-backed
-#: batches, and tuple-at-a-time.
+#: Pull shapes of the one pipeline, as ``(engine config, run kwargs)``:
+#: column-backed batches, row-backed leaf batches (scans collecting their
+#: rows for the source cache), and one-row pulls.
 DRIVE_MODES = {
-    "columnar": {},
-    "row-batch": {"columnar": False},
-    "tuple": {"batch_size": None},
+    "columnar": ({}, {}),
+    "row-batch": ({"enable_source_caching": True}, {}),
+    "tuple": ({}, {"batch_size": 1}),
 }
 
 
@@ -64,23 +68,36 @@ def fig3a_plan(implementation=JoinImplementation.DOUBLE_PIPELINED, memory=None):
     )
 
 
-def run_lanes(deployment, lanes, implementation=JoinImplementation.DOUBLE_PIPELINED, **drive):
+def run_lanes(
+    deployment, lanes, implementation=JoinImplementation.DOUBLE_PIPELINED, drive="columnar"
+):
+    config, run = DRIVE_MODES[drive]
     return run_operator_tree(
         fig3a_plan(implementation),
         deployment.catalog,
-        engine_config=EngineConfig(exchange_lanes=lanes),
-        **drive,
+        engine_config=EngineConfig(exchange_lanes=lanes, **config),
+        **run,
+    )
+
+
+def fig3a_oracle(deployment):
+    """The Fig-3a join's multiset by nested loops over the generated tables."""
+    tables = {name: oracle.scan(deployment.database[name]) for name in ("lineitem", "supplier", "orders")}
+    inner = oracle.join(
+        tables["lineitem"], tables["supplier"], ["lineitem.l_suppkey"], ["supplier.s_suppkey"]
+    )
+    return oracle.multiset(
+        oracle.join(inner, tables["orders"], ["lineitem.l_orderkey"], ["orders.o_orderkey"])
     )
 
 
 class TestLaneCountInvariance:
     @pytest.mark.parametrize("drive", sorted(DRIVE_MODES))
     def test_join_multisets_identical_at_1_2_4_lanes(self, deployment, drive):
-        kwargs = DRIVE_MODES[drive]
-        reference = multiset(run_lanes(deployment, 1, **kwargs).relation)
+        reference = fig3a_oracle(deployment)
         assert reference  # the workload actually joins
-        for lanes in (2, 4):
-            result = run_lanes(deployment, lanes, **kwargs)
+        for lanes in (1, 2, 4):
+            result = run_lanes(deployment, lanes, drive=drive)
             assert multiset(result.relation) == reference, f"{drive} @ {lanes} lanes"
 
     def test_hybrid_hash_lanes_match_serial(self, deployment):
@@ -117,23 +134,22 @@ class TestLaneCountInvariance:
             operator_id="coll",
         )
         spec.params["dedup_keys"] = ["bib.isbn"]
-        kwargs = DRIVE_MODES[drive]
-        reference = None
+        config, run = DRIVE_MODES[drive]
+        reference = oracle.multiset(
+            oracle.collect([oracle.scan(main), oracle.scan(mirror)], ["bib.isbn"])
+        )
         for lanes in (1, 2, 4):
             result = run_operator_tree(
                 spec,
                 catalog,
-                engine_config=EngineConfig(exchange_lanes=lanes),
-                **kwargs,
+                engine_config=EngineConfig(exchange_lanes=lanes, **config),
+                **run,
             )
             # Dedup must hold globally even though each lane dedups locally:
             # hash partitioning on the dedup key sends every duplicate to the
             # same lane.
             assert result.cardinality == 60
-            if reference is None:
-                reference = multiset(result.relation)
-            else:
-                assert multiset(result.relation) == reference
+            assert multiset(result.relation) == reference
 
 
 def contended_catalog(rows: int = 1200) -> DataSourceCatalog:
@@ -233,7 +249,7 @@ class _StaticProducer(Operator):
             return None
         return self.context.clock.now
 
-    def _next_batch(self, max_rows):
+    def _next_batch(self, max_rows, arrival_bound):
         if not self._batches:
             return Batch.empty(self._schema)
         return self._batches.pop(0)

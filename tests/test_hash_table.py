@@ -10,7 +10,9 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.hash_table import BucketedHashTable, bucket_of
 from repro.storage.memory import MemoryBudget
 from repro.storage.schema import Schema
-from repro.storage.tuples import Row, counting_row_constructions
+from repro.storage.tuples import KeyBinder, Row, counting_row_constructions
+
+from helpers import insert_row, probe_values, spilled_marks
 
 SCHEMA = Schema.of("k:int", "v:str")
 
@@ -46,48 +48,45 @@ def make_batch(keys, value="x") -> Batch:
 class TestBasicOperations:
     def test_insert_and_probe(self):
         table = make_table()
-        table.insert(make_row(1, "a"))
-        table.insert(make_row(1, "b"))
-        table.insert(make_row(2, "c"))
-        assert {row["v"] for row in table.probe((1,))} == {"a", "b"}
-        assert table.probe((99,)) == []
+        insert_row(table, make_row(1, "a"))
+        insert_row(table, make_row(1, "b"))
+        insert_row(table, make_row(2, "c"))
+        assert {v for _, v in probe_values(table, (1,))} == {"a", "b"}
+        assert probe_values(table, (99,)) == []
         assert table.resident_rows == 3
 
     def test_probe_row_uses_given_keys(self):
+        # The probing side names its own key attributes.
         table = make_table()
-        table.insert(make_row(5, "a"))
+        insert_row(table, make_row(5, "a"))
         other_schema = Schema.of("fk:int")
-        probe = Row(other_schema, (5,))
-        assert len(table.probe_row(probe, ["fk"])) == 1
+        probe = Batch.from_columns(other_schema, [array("q", [5, 6])], [0.0, 0.0])
+        keys = probe.key_tuples(KeyBinder(["fk"]).indices_in(other_schema))
+        take, _, _, _ = table.gather_matches(keys)
+        assert take == [0]
 
     def test_budget_charged_per_row_in_encoded_bytes(self):
         budget = MemoryBudget(10_000)
         table = BucketedHashTable(["k"], budget, SimulatedDisk())
-        table.insert(make_row(1))
+        insert_row(table, make_row(1))
         # One encoded row plus the value's dictionary entry, charged once.
         assert table.dictionary_bytes == DICT_X_BYTES
         assert budget.used_bytes == ROW_BYTES + DICT_X_BYTES
-        table.insert(make_row(2))
+        insert_row(table, make_row(2))
         assert budget.used_bytes == 2 * ROW_BYTES + DICT_X_BYTES
 
     def test_plain_mode_charges_plain_columnar_bytes(self):
         budget = MemoryBudget(10_000)
         table = BucketedHashTable(["k"], budget, SimulatedDisk(), encoded=False)
-        table.insert(make_row(1))
+        insert_row(table, make_row(1))
         assert budget.used_bytes == SCHEMA.columnar_row_size
         assert table.dictionary_bytes == 0
 
     def test_insert_refused_when_budget_full(self):
         table = make_table(limit_bytes=ROW_BYTES)
-        assert table.insert(make_row(1))
-        assert not table.insert(make_row(2))
+        assert insert_row(table, make_row(1))
+        assert not insert_row(table, make_row(2))
         assert table.resident_rows == 1
-
-    def test_insert_resident_raises_when_full(self):
-        table = make_table(limit_bytes=ROW_BYTES)
-        table.insert_resident(make_row(1))
-        with pytest.raises(StorageError):
-            table.insert_resident(make_row(2))
 
     def test_bucket_count_validation(self):
         with pytest.raises(StorageError):
@@ -105,7 +104,7 @@ class TestFlushing:
         table = BucketedHashTable(["k"], budget, disk, bucket_count=4)
         rows = [make_row(i) for i in range(20)]
         for row in rows:
-            table.insert(row)
+            insert_row(table, row)
         used_before = budget.used_bytes
         index = table.flush_largest_bucket()
         assert index is not None
@@ -115,16 +114,16 @@ class TestFlushing:
 
     def test_inserts_into_flushed_bucket_go_to_disk(self):
         table = make_table(buckets=1)
-        table.insert(make_row(1))
+        insert_row(table, make_row(1))
         table.flush_bucket(0)
-        assert not table.insert(make_row(2))
+        assert not insert_row(table, make_row(2))
         assert table.resident_rows == 0
-        assert len(list(table.overflow_rows(0))) == 2
+        assert len(spilled_marks(table, 0)) == 2
 
     def test_flush_all(self):
         table = make_table(buckets=4)
         for i in range(10):
-            table.insert(make_row(i))
+            insert_row(table, make_row(i))
         flushed = table.flush_all()
         assert flushed == 10
         assert table.resident_rows == 0
@@ -137,8 +136,8 @@ class TestFlushing:
         if bucket_of((0,), 2) == bucket_of((1,), 2):
             light_key = 2
         for _ in range(5):
-            table.insert(make_row(heavy_key))
-        table.insert(make_row(light_key))
+            insert_row(table, make_row(heavy_key))
+        insert_row(table, make_row(light_key))
         flushed_index = table.flush_largest_bucket()
         assert flushed_index == bucket_of((heavy_key,), 2)
 
@@ -147,15 +146,15 @@ class TestFlushing:
 
     def test_overflow_rows_marks_preserved(self):
         table = make_table(buckets=1)
-        table.insert(make_row(1))
+        insert_row(table, make_row(1))
         table.flush_bucket(0, mark_rows=True)
-        assert all(marked for _, marked in table.overflow_rows(0))
+        assert spilled_marks(table, 0) == [True]
 
     def test_release_all_returns_budget(self):
         budget = MemoryBudget(None)
         table = BucketedHashTable(["k"], budget, SimulatedDisk())
         for i in range(5):
-            table.insert(make_row(i))
+            insert_row(table, make_row(i))
         table.release_all()
         assert budget.used_bytes == 0
         assert table.resident_rows == 0
@@ -163,8 +162,14 @@ class TestFlushing:
     def test_resident_items_iterates_all(self):
         table = make_table()
         for i in range(5):
-            table.insert(make_row(i))
-        assert len(list(table.resident_items())) == 5
+            insert_row(table, make_row(i))
+        resident = [
+            key
+            for bucket in table.buckets
+            if bucket.partition is not None
+            for key in bucket.partition.columns[0]
+        ]
+        assert sorted(resident) == [0, 1, 2, 3, 4]
 
 
 class TestColumnarBuckets:
@@ -174,9 +179,9 @@ class TestColumnarBuckets:
         from repro.storage.columns import DictColumn
 
         table = make_table()
-        table.insert(make_row(1, "a"))
-        table.insert(make_row(2, "b"))
-        bucket = table.bucket_for_key((1,))
+        insert_row(table, make_row(1, "a"))
+        insert_row(table, make_row(2, "b"))
+        bucket = table.buckets[bucket_of((1,), table.bucket_count)]
         assert isinstance(bucket.partition.columns[0], array)
         assert bucket.partition.columns[0].typecode == "q"
         # String columns dictionary-encode by default...
@@ -186,8 +191,8 @@ class TestColumnarBuckets:
             ["k"], MemoryBudget(None), SimulatedDisk(), bucket_count=8,
             schema=SCHEMA, encoded=False,
         )
-        plain.insert(make_row(1, "a"))
-        assert isinstance(plain.bucket_for_key((1,)).partition.columns[1], list)
+        insert_row(plain, make_row(1, "a"))
+        assert isinstance(plain.buckets[bucket_of((1,), 8)].partition.columns[1], list)
 
     def test_insert_batch_bulk_fast_path(self):
         table = make_table()
@@ -195,7 +200,7 @@ class TestColumnarBuckets:
         assert table.insert_batch(batch) == 50
         assert table.resident_rows == 50
         assert table.budget.used_bytes == 50 * ROW_BYTES + DICT_X_BYTES
-        assert {row["k"] for row in table.probe((7,))} == {7}
+        assert {k for k, _ in probe_values(table, (7,))} == {7}
 
     def test_insert_batch_stops_at_exact_refusal_row(self):
         # Budget fits 3 rows (plus the shared "x" dictionary entry); the 4th
@@ -239,22 +244,22 @@ class TestColumnarBuckets:
         assert table.insert_batch(batch, start=2, stop=6) == 6
         assert table.resident_rows == 4
         assert table.total_inserted == 4
-        assert table.probe((1,)) == [] and len(table.probe((5,))) == 1
+        assert probe_values(table, (1,)) == [] and len(probe_values(table, (5,))) == 1
 
     def test_insert_batch_routes_flushed_buckets_to_disk(self):
         table = make_table(buckets=1)
-        table.insert(make_row(0))
+        insert_row(table, make_row(0))
         table.flush_bucket(0)
         batch = make_batch([1, 2, 3])
         assert table.insert_batch(batch) == 3
         assert table.resident_rows == 0
-        assert len(list(table.overflow_rows(0))) == 4
+        assert len(spilled_marks(table, 0)) == 4
 
     def test_gather_matches_returns_columns_and_take(self):
         table = make_table()
-        table.insert(make_row(1, "a"))
-        table.insert(make_row(2, "b"))
-        table.insert(make_row(2, "c"))
+        insert_row(table, make_row(1, "a"))
+        insert_row(table, make_row(2, "b"))
+        insert_row(table, make_row(2, "c"))
         result = table.gather_matches([(1,), (9,), (2,)])
         assert result is not None
         take, columns, arrivals, aligned = result
@@ -266,16 +271,16 @@ class TestColumnarBuckets:
 
     def test_gather_matches_aligned_identity(self):
         table = make_table()
-        table.insert(make_row(1, "a"))
-        table.insert(make_row(2, "b"))
+        insert_row(table, make_row(1, "a"))
+        insert_row(table, make_row(2, "b"))
         take, _, _, aligned = table.gather_matches([(1,), (2,)])
         assert take == [0, 1]
         assert aligned
 
     def test_gather_matches_respects_positions_subset(self):
         table = make_table()
-        table.insert(make_row(1, "a"))
-        table.insert(make_row(2, "b"))
+        insert_row(table, make_row(1, "a"))
+        insert_row(table, make_row(2, "b"))
         take, columns, _, aligned = table.gather_matches([(1,), (2,)], positions=[1])
         assert take == [1]
         assert list(columns[0]) == [2]
@@ -290,12 +295,8 @@ class TestColumnarBuckets:
             table.insert_batch(batch, keys=keys)
             table.insert_position(bucket_of((99,), 8), (99,), batch.columns, 0, 0.0)
             assert table.gather_matches(keys) is not None
-            assert table.match_positions((5,)) is not None
+            assert table.gather_matches([(5,)]) is not None
             assert counter.count == 0
-        # The boxed views box (that is their job).
-        with counting_row_constructions() as counter:
-            assert len(table.probe((5,))) == 1
-            assert counter.count == 1
 
     def test_spill_and_flush_box_no_rows(self):
         table = make_table(buckets=1)
@@ -315,7 +316,7 @@ class TestAccountingInvariant:
     def test_flush_releases_atomically(self):
         table = make_table(buckets=4)
         for i in range(20):
-            table.insert(make_row(i))
+            insert_row(table, make_row(i))
         assert (
             table.budget.used_bytes
             == table.resident_bytes
@@ -337,8 +338,8 @@ class TestAccountingInvariant:
         left = BucketedHashTable(["k"], budget, disk, bucket_count=4, schema=SCHEMA)
         right = BucketedHashTable(["k"], budget, disk, bucket_count=4, schema=SCHEMA)
         for i in range(10):
-            left.insert(make_row(i))
-            right.insert(make_row(i))
+            insert_row(left, make_row(i))
+            insert_row(right, make_row(i))
         assert budget.used_bytes == left.resident_bytes + right.resident_bytes
         left.flush_bucket(0)
         right.flush_all()
@@ -348,7 +349,7 @@ class TestAccountingInvariant:
 
     def test_check_accounting_detects_drift(self):
         table = make_table()
-        table.insert(make_row(1))
+        insert_row(table, make_row(1))
         table.budget.release(ROW_BYTES)  # simulate a lost release
         with pytest.raises(StorageError):
             table.check_accounting()

@@ -12,6 +12,7 @@ from repro.network.profiles import lan, wide_area
 from repro.network.source import DataSource
 from repro.storage.memory import MB
 
+import oracle
 from helpers import make_relation, multiset, reference_join
 
 
@@ -158,7 +159,7 @@ class TestDependentJoinProbeCache:
         catalog.register_source(DataSource("ord", orders, wide_area()))
         return catalog
 
-    def _run(self, catalog, probe_cache, batch_size=None, context=None):
+    def _run(self, catalog, probe_cache, batch_size=1, context=None):
         context = context or ExecutionContext(catalog)
         left = WrapperScan("scan_item", context, "item")
         join = DependentJoin(
@@ -166,15 +167,12 @@ class TestDependentJoinProbeCache:
             probe_cache=probe_cache,
         )
         join.open()
-        if batch_size is None:
-            rows = list(join.iterate())
-        else:
-            rows = []
-            while True:
-                batch = join.next_batch(batch_size)
-                if not batch:
-                    break
-                rows.extend(batch)
+        rows = []
+        while True:
+            batch = join.next_batch(batch_size)
+            if not batch:
+                break
+            rows.extend(batch)
         join.close()
         return join, rows, context
 
@@ -206,11 +204,19 @@ class TestDependentJoinProbeCache:
 
     @pytest.mark.parametrize("batch_size", [1, 4, 64])
     def test_batch_drive_hits_the_memo_identically(self, dup_key_catalog, batch_size):
-        tuple_join, tuple_rows, _ = self._run(dup_key_catalog, probe_cache=True)
+        tuple_join, tuple_rows, _ = self._run(dup_key_catalog, probe_cache=True)  # one-row pulls
         batch_join, batch_rows, _ = self._run(
             dup_key_catalog, probe_cache=True, batch_size=batch_size
         )
-        assert multiset(batch_rows) == multiset(tuple_rows)
+        expected = oracle.multiset(
+            oracle.join(
+                oracle.source(dup_key_catalog, "item"),
+                oracle.source(dup_key_catalog, "ord"),
+                ["item.i_order"],
+                ["ord.o_id"],
+            )
+        )
+        assert multiset(batch_rows) == multiset(tuple_rows) == expected
         assert batch_join.probes == tuple_join.probes == 3
         assert batch_join.cache_hits == tuple_join.cache_hits == 9
 

@@ -20,6 +20,8 @@ from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row
 
+from helpers import insert_row, probe_values
+
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
@@ -98,11 +100,11 @@ class TestHashTableProperties:
     def test_probe_returns_exactly_matching_rows(self, pairs):
         table = BucketedHashTable(["l.k"], MemoryBudget(None), SimulatedDisk(), bucket_count=8)
         for pair in pairs:
-            table.insert(Row(LEFT_SCHEMA, pair))
+            insert_row(table, Row(LEFT_SCHEMA, pair))
         for key in {k for k, _ in pairs}:
-            matches = table.probe((key,))
+            matches = probe_values(table, (key,))
             assert len(matches) == sum(1 for k, _ in pairs if k == key)
-            assert all(row["l.k"] == key for row in matches)
+            assert all(values[0] == key for values in matches)
 
     @given(pairs=pair_lists)
     @settings(max_examples=60, deadline=None)
@@ -111,7 +113,7 @@ class TestHashTableProperties:
         disk = SimulatedDisk()
         table = BucketedHashTable(["l.k"], budget, disk, bucket_count=4)
         for pair in pairs:
-            table.insert(Row(LEFT_SCHEMA, pair))
+            insert_row(table, Row(LEFT_SCHEMA, pair))
         resident_before = table.resident_rows
         table.flush_all()
         assert table.resident_rows == 0
@@ -129,9 +131,9 @@ class TestHashTableProperties:
         budget = MemoryBudget(limit)
         table = BucketedHashTable(["l.k"], budget, SimulatedDisk(), bucket_count=4)
         for pair in pairs:
-            if not table.insert(Row(LEFT_SCHEMA, pair)):
+            if not insert_row(table, Row(LEFT_SCHEMA, pair)):
                 table.flush_largest_bucket()
-                table.insert(Row(LEFT_SCHEMA, pair))
+                insert_row(table, Row(LEFT_SCHEMA, pair))
             # Row reservations respect the limit; dictionary growth is
             # force-charged on top (it cannot be refused row by row).
             assert budget.used_bytes <= limit + table.dictionary_bytes

@@ -69,6 +69,8 @@ class TestWrapperScan:
         assert scan.peek_arrival() is None
 
     def test_threshold_events_emitted(self, context):
+        # Per-row THRESHOLD events are raised for scans a rule watches.
+        context.watch_events({(EventType.THRESHOLD, "s")})
         scan = WrapperScan("s", context, "ord")
         scan.open()
         list(scan.iterate())

@@ -44,9 +44,11 @@ def catalog():
     return catalog
 
 
-def run_select(catalog, adaptive: bool, batch_size: int = 64, columnar: bool = True):
+def run_select(catalog, adaptive: bool, batch_size: int = 64, row_backed: bool = False):
+    # A scan that collects its rows for the source cache serves row-backed
+    # batches; the Select reads their columns all the same.
     context = ExecutionContext(
-        catalog, config=EngineConfig(columnar_batches=columnar)
+        catalog, config=EngineConfig(enable_source_caching=row_backed)
     )
     select = Select(
         "sel",
@@ -88,8 +90,8 @@ class TestAdaptivePredicateOrdering:
         assert select._compiled[0][0] == schema_index
 
     def test_row_backed_drive_adapts_too(self, catalog):
-        static, static_rows = run_select(catalog, adaptive=False, columnar=False)
-        adaptive, adaptive_rows = run_select(catalog, adaptive=True, columnar=False)
+        static, static_rows = run_select(catalog, adaptive=False, row_backed=True)
+        adaptive, adaptive_rows = run_select(catalog, adaptive=True, row_backed=True)
         assert multiset(adaptive_rows) == multiset(static_rows)
         assert adaptive.comparator_calls < static.comparator_calls
 

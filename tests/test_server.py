@@ -12,13 +12,12 @@ Covers the invariants the query-server subsystem promises:
   revocation;
 * connection concurrency — bounded sources queue extra streams on the
   shared timeline;
-* drive-mode parity — per session, the columnar and row-batch drives agree
-  exactly (results and virtual times).
+* exactness under contention — per session, results match the oracle and
+  the virtual times, disk counters and overflow counts match the committed
+  record exactly.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.catalog.catalog import DataSourceCatalog
 from repro.engine.context import EngineConfig
@@ -30,6 +29,8 @@ from repro.plan.physical import join, wrapper_scan
 from repro.server import MemoryBroker, QueryServer, ServerClock, SessionStatus
 from repro.storage.memory import MemoryPool
 
+import exact_records
+import oracle
 from helpers import make_relation, multiset, reference_join
 
 #: Slow link so network waits dominate and overlap is visible.
@@ -341,7 +342,7 @@ def server_resident_bytes(server: QueryServer) -> int:
 class TestBrokerRevocationMidBuild:
     ROWS = 1200
 
-    def run_contended(self, columnar: bool | None = None):
+    def run_contended(self):
         catalog = fresh_catalog(rows=self.ROWS)
         server = QueryServer(
             catalog,
@@ -356,13 +357,11 @@ class TestBrokerRevocationMidBuild:
             )
 
         server.broker.on_revocation = check
-        a = server.submit(join_spec("a", memory=80 * 1024), "a", columnar=columnar)
+        a = server.submit(join_spec("a", memory=80 * 1024), "a")
         # b arrives once a is mid-build (the streams run for ~500 virtual
         # ms), forcing the broker to claw back most of a's lease while its
         # hash tables hold resident rows.
-        b = server.submit(
-            join_spec("b", memory=80 * 1024), "b", arrival_ms=400.0, columnar=columnar
-        )
+        b = server.submit(join_spec("b", memory=80 * 1024), "b", arrival_ms=400.0)
         server.run()
         return server, a, b, invariant_checks
 
@@ -392,40 +391,31 @@ class TestBrokerRevocationMidBuild:
         assert server_resident_bytes(server) == 0
 
     def test_drive_mode_parity_under_contention(self):
-        _, a_col, b_col, _ = self.run_contended(columnar=True)
-        _, a_row, b_row, _ = self.run_contended(columnar=False)
-        assert multiset(a_col.result) == multiset(a_row.result)
-        assert multiset(b_col.result) == multiset(b_row.result)
-        # The two batch drives account virtual time identically per session.
-        assert a_col.summary.completed_at_ms == pytest.approx(
-            a_row.summary.completed_at_ms
+        server, a, b, _ = self.run_contended()
+        catalog = fresh_catalog(rows=self.ROWS)
+        expected = oracle.multiset(
+            oracle.join(oracle.source(catalog, "l"), oracle.source(catalog, "r"), ["l.id"], ["r.rid"])
         )
-        assert b_col.summary.completed_at_ms == pytest.approx(
-            b_row.summary.completed_at_ms
-        )
-
+        assert multiset(a.result) == multiset(b.result) == expected
+        sessions = exact_records.load_records()["contention"]["sessions"]
+        for session in (a, b):
+            assert session.summary.completed_at_ms == sessions[session.session_id]["completed_at_ms"]
 
     def test_drive_mode_exact_parity_under_contention(self):
         # The victim's lease is revoked between its next_batch calls; the
-        # columnar drive's bulk DPJ segments must still reproduce the
-        # row-batch drive's per-tuple pipeline exactly, per session.
-        col_server, *col_sessions, _ = self.run_contended(columnar=True)
-        row_server, *row_sessions, _ = self.run_contended(columnar=False)
-        assert col_server.broker.stats == row_server.broker.stats
-        assert col_server.broker.stats.revocations >= 1
-        for col, row in zip(col_sessions, row_sessions):
-            assert [(r.values, r.arrival) for r in col.result] == [
-                (r.values, r.arrival) for r in row.result
-            ]
-            assert col.summary.completed_at_ms == row.summary.completed_at_ms
-            assert col.context.clock.stats == row.context.clock.stats
-            assert col.context.disk.stats == row.context.disk.stats
-            join_id = f"{col.session_id}_join"
-            assert (
-                col.context.operator(join_id).overflow_count
-                == row.context.operator(join_id).overflow_count
-            )
-        assert col_sessions[0].context.operator("a_join").overflow_count >= 1
+        # bulk DPJ segments must still reproduce the committed record
+        # exactly, per session.  Only the result's arrival stamps move: a
+        # one-row step at a tie now takes the batch CPU charge.
+        server, a, b, _ = self.run_contended()
+        assert server.broker.stats.revocations >= 1
+        record = exact_records.contention_record(server, (a, b))
+        expected = exact_records.load_records()["contention"]
+        assert record["broker"] == expected["broker"]
+        for session_id, fields in expected["sessions"].items():
+            for key, value in fields.items():
+                if key != "result_arrivals":
+                    assert record["sessions"][session_id][key] == value, (session_id, key)
+        assert record["sessions"]["a"]["overflow_count"] >= 1
 
 
 class TestPlanSessions:

@@ -156,13 +156,13 @@ class TestBatchRoundTrip:
             max_size=32,
         )
     )
-    def test_row_backed_batches_stay_row_backed(self, rows):
+    def test_row_backed_batches_ship_as_columns(self, rows):
         schema = Schema.of("a:int", "b:str")
         batch = Batch.from_rows(
             schema, [Row.make(schema, (a, b), arrival) for a, b, arrival in rows]
         )
         decoded = roundtrip(batch)
-        assert not decoded.is_columnar
+        assert decoded.is_columnar
         assert [(r.values, r.arrival) for r in decoded.rows()] == [
             ((a, b), arrival) for a, b, arrival in rows
         ]
